@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: extract | retrieve | perturb | measure | sweep | generate |
-stats.  Every option can come from a YAML config file (``--config``);
-explicit flags win over the file, the file wins over built-in defaults.
-A config file may hold flat keys and/or per-command sections::
+stats.  argparse is the only option table: each flag is declared once,
+with its type and default, and ``kgr <command> --help`` shows every
+default.  Any option can also come from a YAML config file
+(``--config``), keyed by its flag name with underscores; explicit flags
+win over the file, the file wins over built-in defaults.  A config file
+may hold flat keys and/or per-command sections::
 
     graph: data/graph.tsv
     sweep:
@@ -64,14 +67,15 @@ from .retrieval import (
     retrieved_from_json_dict,
 )
 from .textgen import (
+    DEFAULT_TEMPERATURE,
+    DEFAULT_TOP_P,
     GEN_TOKEN_ENV,
     GEN_URL_ENV,
     GenerationClient,
-    GenerationError,
     PromptTemplate,
     build_prompt,
 )
-from .transport import TransportError
+from .transport import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS, DEFAULT_TIMEOUT, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -106,58 +110,44 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _config_defaults(path: str, command: str) -> dict:
+    """Parser defaults from a config file: flat keys plus the command's section.
+
+    Scalars become strings and lists comma-joined strings, so config
+    values pass through the same ``type=`` casts as flags; booleans stay
+    as they are and null keys are left out.
+    """
     if not os.path.isfile(path):
         raise CliError(2, f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            loaded = yaml.safe_load(fh)
+            cfg = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise CliError(2, f"config file is not valid YAML: {exc}")
-    if loaded is None:
+    if cfg is None:
         return {}
-    if not isinstance(loaded, dict):
+    if not isinstance(cfg, dict):
         raise CliError(2, "config file must hold a mapping at the top level")
-    return loaded
+    section = cfg.get(command, {})
+    if not isinstance(section, dict):
+        raise CliError(2, f"config section {command!r} must be a mapping")
+    merged = {k: v for k, v in cfg.items() if not isinstance(v, dict)}
+    merged.update(section)
+    merged.pop("command", None)  # the subcommand comes from the command line only
+    defaults = {}
+    for key, value in merged.items():
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is not None:
+            defaults[str(key)] = value if isinstance(value, bool) else str(value)
+    return defaults
 
 
-def _as_list(value, item_cast) -> list:
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = [value]
-    return [item_cast(p) for p in parts]
-
-
-class Options:
-    """Option resolution: explicit flag > config file > default."""
-
-    def __init__(self, args: argparse.Namespace, cfg: dict, command: str):
-        flat = {k: v for k, v in cfg.items() if not isinstance(v, dict)}
-        section = cfg.get(command, {})
-        if not isinstance(section, dict):
-            raise CliError(2, f"config section {command!r} must be a mapping")
-        self._cfg = {**flat, **section}
-        self._args = args
-
-    def get(self, key: str, default=None, cast=None, required: bool = False):
-        value = getattr(self._args, key, None)
-        if value is None:
-            value = self._cfg.get(key)
-        if value is None:
-            value = default
-        if required and value is None:
-            raise CliError(2, f"missing required option --{key.replace('_', '-')}")
-        if cast is not None and value is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise CliError(2, f"bad value for {key}: {exc}")
-        return value
+def _need(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise CliError(2, f"missing required option --{key.replace('_', '-')}")
+    return value
 
 
 def _require_file(path: str, what: str) -> str:
@@ -208,24 +198,12 @@ def _load_queries(path: str) -> list[dict]:
     return queries
 
 
-def _embedder(opts: Options):
-    url = opts.get("embed_url", default=os.environ.get(EMBED_URL_ENV) or None)
+def _embedder(args: argparse.Namespace):
+    url = args.embed_url or os.environ.get(EMBED_URL_ENV)
     if url:
-        token = opts.get("embed_token", default=os.environ.get(EMBED_TOKEN_ENV) or None)
+        token = args.embed_token or os.environ.get(EMBED_TOKEN_ENV) or None
         return ServiceEmbedder(url=url, token=token)
     return HashedBagEmbedder()
-
-
-def _ppr_config(opts: Options) -> PprConfig:
-    try:
-        return PprConfig(
-            alpha=opts.get("alpha", default=0.85, cast=float),
-            tol=opts.get("tol", default=1e-6, cast=float),
-            max_iter=opts.get("max_iter", default=100, cast=int),
-            prune_threshold=opts.get("prune_threshold", default=1e-5, cast=float),
-        )
-    except ValueError as exc:
-        raise CliError(2, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -233,46 +211,39 @@ def _ppr_config(opts: Options) -> PprConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_stats(args: argparse.Namespace, cfg: dict) -> int:
-    opts = Options(args, cfg, "stats")
-    fmt = opts.get("format", default=FORMAT_TSV)
-    g = _read_graph_checked(opts.get("graph", required=True), fmt)
-    _emit(_dump_json(graph_stats(g).to_dict()), opts.get("out"))
+def _cmd_stats(args: argparse.Namespace) -> int:
+    g = _read_graph_checked(_need(args, "graph"), args.format)
+    _emit(_dump_json(graph_stats(g).to_dict()), args.out)
     return 0
 
 
-def _cmd_extract(args: argparse.Namespace, cfg: dict) -> int:
-    opts = Options(args, cfg, "extract")
-    fmt = opts.get("format", default=FORMAT_TSV)
-    hops = opts.get("hops", default=2, cast=int)
-    if hops < 0:
+def _cmd_extract(args: argparse.Namespace) -> int:
+    if args.hops < 0:
         raise CliError(2, "hops must be >= 0")
-    undirected = bool(opts.get("undirected", default=False))
-    config = _ppr_config(opts)
-    g = _read_graph_checked(opts.get("graph", required=True), fmt)
-
-    seeds_opt = opts.get("seeds")
-    queries_path = opts.get("queries")
-    if (seeds_opt is None) == (queries_path is None):
+    config = PprConfig(
+        alpha=args.alpha,
+        tol=args.tol,
+        max_iter=args.max_iter,
+        prune_threshold=args.prune_threshold,
+    )
+    g = _read_graph_checked(_need(args, "graph"), args.format)
+    if (args.seeds is None) == (args.queries is None):
         raise CliError(2, "provide exactly one of --seeds or --queries")
 
     def run(seeds: list[str]) -> KnowledgeGraph:
         try:
-            return extract_and_prune(g, seeds, hops, config, undirected)
+            return extract_and_prune(g, seeds, args.hops, config, args.undirected)
         except EntityNotFoundError as exc:
             raise CliError(2, f"seed entity not in graph: {exc.args[0]}")
-        except ValueError as exc:
-            raise CliError(2, str(exc))
 
-    if seeds_opt is not None:
-        seeds = _as_list(seeds_opt, str)
-        if not seeds:
+    if args.seeds is not None:
+        if not args.seeds:
             raise CliError(2, "at least one seed is required")
-        _emit(serialize(run(seeds)), opts.get("out"))
+        _emit(serialize(run(args.seeds)), args.out)
         return 0
 
-    queries = _load_queries(queries_path)
-    out_dir = opts.get("out", required=True)
+    queries = _load_queries(args.queries)
+    out_dir = _need(args, "out")
     results = []
     for q in queries:
         if not q["seeds"]:
@@ -283,85 +254,49 @@ def _cmd_extract(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _retrieval_params(opts: Options) -> dict:
-    k = opts.get("k", default=15, cast=int)
-    return {
-        "k": k,
-        "edge_cost": opts.get("edge_cost", default=1.0, cast=float),
-        "variant": opts.get("variant", default=VARIANT_TRIPLETS),
-        "n": opts.get("n", cast=int),
-        "start_count": opts.get("start_count", default=5, cast=int),
-        "max_len": opts.get("max_len", default=4, cast=int),
-        "result_count": opts.get("result_count", cast=int),
-        "directed_only": bool(opts.get("directed_only", default=False)),
-    }
-
-
-def _retrieve_one(g: KnowledgeGraph, question: str, provider, params: dict):
+def _retrieve_one(g: KnowledgeGraph, question: str, provider, args: argparse.Namespace):
     ranked_nodes, ranked_edges = rank_graph_elements(g, question, provider)
-    prizes = assign_prizes(
-        ranked_nodes, ranked_edges, k=params["k"], edge_cost=params["edge_cost"]
-    )
+    prizes = assign_prizes(ranked_nodes, ranked_edges, k=args.k, edge_cost=args.edge_cost)
     return retrieve(
         g,
         prizes,
-        variant=params["variant"],
-        n=params["n"],
-        start_count=params["start_count"],
-        max_len=params["max_len"],
-        result_count=params["result_count"],
-        directed_only=params["directed_only"],
+        variant=args.variant,
+        n=args.n,
+        start_count=args.start_count,
+        max_len=args.max_len,
+        result_count=args.result_count,
+        directed_only=args.directed_only,
     )
 
 
-def _cmd_retrieve(args: argparse.Namespace, cfg: dict) -> int:
-    opts = Options(args, cfg, "retrieve")
-    fmt = opts.get("format", default=FORMAT_TSV)
-    params = _retrieval_params(opts)
-    if params["variant"] not in VARIANTS:
-        raise CliError(2, f"variant must be one of {', '.join(VARIANTS)}")
-    queries = _load_queries(opts.get("queries", required=True))
-    graph_path = opts.get("graph")
-    graph_dir = opts.get("graph_dir")
-    if (graph_path is None) == (graph_dir is None):
+def _cmd_retrieve(args: argparse.Namespace) -> int:
+    queries = _load_queries(_need(args, "queries"))
+    if (args.graph is None) == (args.graph_dir is None):
         raise CliError(2, "provide exactly one of --graph or --graph-dir")
-    provider = _embedder(opts)
+    provider = _embedder(args)
 
-    shared = _read_graph_checked(graph_path, fmt) if graph_path else None
+    shared = _read_graph_checked(args.graph, args.format) if args.graph else None
     lines: list[str] = []
     for q in queries:
         if shared is not None:
             g = shared
         else:
-            g = _read_graph_checked(os.path.join(graph_dir, f"{q['id']}.tsv"), fmt)
-        try:
-            result = _retrieve_one(g, q["question"], provider, params)
-        except ValueError as exc:
-            raise CliError(2, str(exc))
+            g = _read_graph_checked(os.path.join(args.graph_dir, f"{q['id']}.tsv"), args.format)
+        result = _retrieve_one(g, q["question"], provider, args)
         record = {"id": q["id"], "question": q["question"], **result.to_json_dict()}
         lines.append(_dump_jsonl_line(record))
-    _emit("".join(lines), opts.get("out"))
+    _emit("".join(lines), args.out)
     return 0
 
 
-def _cmd_perturb(args: argparse.Namespace, cfg: dict) -> int:
-    opts = Options(args, cfg, "perturb")
-    fmt = opts.get("format", default=FORMAT_TSV)
-    g = _read_graph_checked(opts.get("graph", required=True), fmt)
-    try:
-        spec = PerturbationSpec(
-            method=opts.get("method", required=True),
-            level=opts.get("level", required=True, cast=float),
-            seed=opts.get("seed", default=0, cast=int),
-        )
-        result = perturb(g, spec, replace_mode=opts.get(
-            "replace_mode", default=REPLACE_LEAST_PLAUSIBLE
-        ))
-    except ValueError as exc:
-        raise CliError(2, str(exc))
-    _emit(serialize(result.graph), opts.get("out"))
-    log_path = opts.get("edit_log")
-    if log_path:
+def _cmd_perturb(args: argparse.Namespace) -> int:
+    g = _read_graph_checked(_need(args, "graph"), args.format)
+    spec = PerturbationSpec(
+        method=_need(args, "method"), level=_need(args, "level"), seed=args.seed
+    )
+    result = perturb(g, spec, replace_mode=args.replace_mode)
+    _emit(serialize(result.graph), args.out)
+    if args.edit_log:
         header = _dump_jsonl_line(
             {
                 "record_type": "header",
@@ -370,7 +305,7 @@ def _cmd_perturb(args: argparse.Namespace, cfg: dict) -> int:
                 "seed": spec.seed,
             }
         )
-        _atomic_write(log_path, header + edit_log_to_jsonl(result.edit_log))
+        _atomic_write(args.edit_log, header + edit_log_to_jsonl(result.edit_log))
     return 0
 
 
@@ -386,36 +321,24 @@ def _aligned_perturbed(g: KnowledgeGraph, gp: KnowledgeGraph) -> KnowledgeGraph:
     return KnowledgeGraph.from_triples(gp.triples, extra_entities=g.entities)
 
 
-def _cmd_measure(args: argparse.Namespace, cfg: dict) -> int:
-    opts = Options(args, cfg, "measure")
-    fmt = opts.get("format", default=FORMAT_TSV)
-    g = _read_graph_checked(opts.get("graph", required=True), fmt)
+def _cmd_measure(args: argparse.Namespace) -> int:
+    g = _read_graph_checked(_need(args, "graph"), args.format)
     if not g.triples:
         raise CliError(2, "original graph has no triples; nothing to score against")
-    method = opts.get("method")
-    level = opts.get("level", cast=float)
-    seed = opts.get("seed", cast=int)
-    perturbed_path = opts.get("perturbed")
-    try:
-        if perturbed_path:
-            gp = _aligned_perturbed(g, _read_graph_checked(perturbed_path, fmt))
-        else:
-            if method is None or level is None:
-                raise CliError(
-                    2, "without --perturbed, both --method and --level are required"
-                )
-            spec = PerturbationSpec(method=method, level=level, seed=seed or 0)
-            gp = perturb(g, spec).graph
-            method, level, seed = spec.method, spec.level, spec.seed
-        report = compare(g, gp)
-    except CliError:
-        raise
-    except ValueError as exc:
-        raise CliError(2, str(exc))
+    method, level, seed = args.method, args.level, args.seed
+    if args.perturbed:
+        gp = _aligned_perturbed(g, _read_graph_checked(args.perturbed, args.format))
+    else:
+        if method is None or level is None:
+            raise CliError(2, "without --perturbed, both --method and --level are required")
+        spec = PerturbationSpec(method=method, level=level, seed=seed)
+        gp = perturb(g, spec).graph
+        method, level, seed = spec.method, spec.level, spec.seed
+    report = compare(g, gp)
     normalized = normalize_method(method) if method else None
     _emit(
         _dump_json(report.to_json_dict(method=normalized, level=level, seed=seed)),
-        opts.get("out"),
+        args.out,
     )
     return 0
 
@@ -433,184 +356,125 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(union)
 
 
-def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
-    opts = Options(args, cfg, "sweep")
-    fmt = opts.get("format", default=FORMAT_TSV)
-    g = _read_graph_checked(opts.get("graph", required=True), fmt)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    g = _read_graph_checked(_need(args, "graph"), args.format)
     if not g.triples:
         raise CliError(2, "graph has no triples; nothing to perturb")
-    queries = _load_queries(opts.get("queries", required=True))
-    out_dir = opts.get("out", required=True)
-    params = _retrieval_params(opts)
-    if params["variant"] not in VARIANTS:
-        raise CliError(2, f"variant must be one of {', '.join(VARIANTS)}")
-    try:
-        methods = [
-            normalize_method(m)
-            for m in opts.get("methods", default=",".join(METHODS), cast=lambda v: _as_list(v, str))
-        ]
-        levels = opts.get(
-            "levels", default=[0.0, 0.25, 0.5, 0.75, 1.0], cast=lambda v: _as_list(v, float)
-        )
-    except ValueError as exc:
-        raise CliError(2, str(exc))
+    queries = _load_queries(_need(args, "queries"))
+    out_dir = _need(args, "out")
+    methods, levels = args.methods, args.levels
     if not methods or not levels:
         raise CliError(2, "methods and levels must be non-empty")
     for lvl in levels:
         if not 0.0 <= lvl <= 1.0:
             raise CliError(2, f"level {lvl} outside [0, 1]")
-    num_seeds = opts.get("num_seeds", default=5, cast=int)
-    if num_seeds < 1:
+    if args.num_seeds < 1:
         raise CliError(2, "num_seeds must be >= 1")
-    root_seed = opts.get("seed", default=0, cast=int)
-    workers = opts.get("workers", default=os.cpu_count() or 1, cast=int)
-    if workers < 1:
-        raise CliError(2, "workers must be >= 1")
-    provider = _embedder(opts)
-    replace_mode = opts.get("replace_mode", default=REPLACE_LEAST_PLAUSIBLE)
+    provider = _embedder(args)
 
     started = time.perf_counter()
     scorer = fit_baseline_scorer(g)
     baseline: dict[str, set] = {}
     for q in queries:
-        baseline[q["id"]] = _retrieve_one(
-            g, q["question"], provider, params
-        ).retrieved_triples()
+        baseline[q["id"]] = _retrieve_one(g, q["question"], provider, args).retrieved_triples()
+    cell_seeds = _derive_seeds(args.seed, args.num_seeds)
 
-    cell_seeds = _derive_seeds(root_seed, num_seeds)
-    cells = [
-        (mi, li, method, level, seed)
-        for mi, method in enumerate(methods)
-        for li, level in enumerate(levels)
-        for seed in cell_seeds
-    ]
-
-    def run_cell(cell):
-        _, _, method, level, seed = cell
-        cell_start = time.perf_counter()
+    def run_cell(method: str, level: float, seed: int) -> dict:
         try:
             spec = PerturbationSpec(method=method, level=level, seed=seed)
-            pg = perturb(g, spec, scorer=scorer, replace_mode=replace_mode)
+            pg = perturb(g, spec, scorer=scorer, replace_mode=args.replace_mode)
             report = compare(g, pg.graph, scorer)
             per_query = []
             for q in queries:
                 retrieved = _retrieve_one(
-                    pg.graph, q["question"], provider, params
+                    pg.graph, q["question"], provider, args
                 ).retrieved_triples()
                 per_query.append(
                     {"id": q["id"], "overlap": _jaccard(baseline[q["id"]], retrieved)}
                 )
-            overlap = sum(p["overlap"] for p in per_query) / len(per_query)
-            record = {
+            return {
                 "method": method,
                 "level": level,
                 "seed": seed,
                 "ats": report.ats,
                 "sc2d": report.sc2d,
                 "sd2": report.sd2,
-                "retrieval_overlap": overlap,
+                "retrieval_overlap": sum(p["overlap"] for p in per_query) / len(per_query),
                 "per_query": per_query,
             }
         except Exception as exc:  # cell failure must not sink the sweep
-            record = {"method": method, "level": level, "seed": seed, "error": str(exc)}
-        return cell, record, time.perf_counter() - cell_start
-
-
-    if workers == 1:
-        outcomes = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    outcomes.sort(key=lambda item: (item[0][0], item[0][1], item[0][4]))
+            return {"method": method, "level": level, "seed": seed, "error": str(exc)}
 
     header = {
         "record_type": "header",
-        "root_seed": root_seed,
+        "root_seed": args.seed,
         "cell_seeds": cell_seeds,
         "methods": methods,
         "levels": levels,
-        "num_seeds": num_seeds,
-        "variant": params["variant"],
-        "prize_k": params["k"],
-        "edge_cost": params["edge_cost"],
+        "num_seeds": args.num_seeds,
+        "variant": args.variant,
+        "prize_k": args.k,
+        "edge_cost": args.edge_cost,
         "query_count": len(queries),
     }
     lines = [_dump_jsonl_line(header)]
-    lines.extend(_dump_jsonl_line(rec) for _, rec, _ in outcomes)
-
-    curve_rows = []
-    for mi, method in enumerate(methods):
-        for li, level in enumerate(levels):
-            good = [
-                rec
-                for cell, rec, _ in outcomes
-                if cell[0] == mi and cell[1] == li and "error" not in rec
-            ]
-            if not good:
-                continue
-            curve_rows.append(
-                {
-                    "method": method,
-                    "level": level,
-                    "mean_ats": sum(r["ats"] for r in good) / len(good),
-                    "mean_sc2d": sum(r["sc2d"] for r in good) / len(good),
-                    "mean_sd2": sum(r["sd2"] for r in good) / len(good),
-                    "mean_retrieval_overlap": sum(
-                        r["retrieval_overlap"] for r in good
-                    )
-                    / len(good),
-                    "seeds_used": len(good),
-                }
-            )
     csv_lines = ["method,level,mean_ats,mean_sc2d,mean_sd2,mean_retrieval_overlap,seeds_used"]
-    for row in curve_rows:
-        csv_lines.append(
-            f"{row['method']},{row['level']!r},{row['mean_ats']!r},"
-            f"{row['mean_sc2d']!r},{row['mean_sd2']!r},"
-            f"{row['mean_retrieval_overlap']!r},{row['seeds_used']}"
-        )
+    cell_seconds: list[float] = []
+    failures = 0
+    # Cells run in record order: method, then level, then seed value.
+    for method in methods:
+        for level in levels:
+            good = []
+            for seed in sorted(cell_seeds):
+                cell_start = time.perf_counter()
+                record = run_cell(method, level, seed)
+                cell_seconds.append(time.perf_counter() - cell_start)
+                lines.append(_dump_jsonl_line(record))
+                if "error" in record:
+                    failures += 1
+                else:
+                    good.append(record)
+            if good:
+                means = [
+                    sum(r[key] for r in good) / len(good)
+                    for key in ("ats", "sc2d", "sd2", "retrieval_overlap")
+                ]
+                csv_lines.append(
+                    ",".join([method, repr(level), *map(repr, means), str(len(good))])
+                )
 
-    failures = sum(1 for _, rec, _ in outcomes if "error" in rec)
     meta = {
         "started_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - started,
-        "cells": len(cells),
+        "cells": len(cell_seconds),
         "failed_cells": failures,
-        "workers": workers,
-        "cell_seconds": [dur for _, _, dur in outcomes],
+        "cell_seconds": cell_seconds,
     }
-
     _atomic_write(os.path.join(out_dir, "records.jsonl"), "".join(lines))
     _atomic_write(os.path.join(out_dir, "curves.csv"), "\n".join(csv_lines) + "\n")
     _atomic_write(os.path.join(out_dir, "meta.json"), _dump_json(meta))
     if failures:
-        logger.warning("%d of %d sweep cells failed", failures, len(cells))
+        logger.warning("%d of %d sweep cells failed", failures, len(cell_seconds))
         return 3
     return 0
 
 
-def _cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
-    opts = Options(args, cfg, "generate")
-    retrieved_path = _require_file(opts.get("retrieved", required=True), "retrieved file")
-    out_path = opts.get("out")
-    url = opts.get("gen_url", default=os.environ.get(GEN_URL_ENV) or None)
+def _cmd_generate(args: argparse.Namespace) -> int:
+    retrieved_path = _require_file(_need(args, "retrieved"), "retrieved file")
+    url = args.gen_url or os.environ.get(GEN_URL_ENV)
     if not url:
         raise CliError(2, f"generation endpoint required (--gen-url or {GEN_URL_ENV})")
-    token = opts.get("gen_token", default=os.environ.get(GEN_TOKEN_ENV) or None)
+    token = args.gen_token or os.environ.get(GEN_TOKEN_ENV) or None
 
-    system_path = opts.get("template_system")
-    body_path = opts.get("template_body")
+    system_path, body_path = args.template_system, args.template_body
     if (system_path is None) != (body_path is None):
         raise CliError(2, "--template-system and --template-body go together")
-    try:
-        if system_path:
-            _require_file(system_path, "template system file")
-            _require_file(body_path, "template body file")
-            template = PromptTemplate.from_files(system_path, body_path)
-        else:
-            template = PromptTemplate.default()
-    except ValueError as exc:
-        raise CliError(2, str(exc))
+    if system_path:
+        _require_file(system_path, "template system file")
+        _require_file(body_path, "template body file")
+        template = PromptTemplate.from_files(system_path, body_path)
+    else:
+        template = PromptTemplate.default()
 
     records = []
     with open(retrieved_path, encoding="utf-8") as fh:
@@ -636,11 +500,11 @@ def _cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
     client = GenerationClient(
         url=url,
         token=token,
-        temperature=opts.get("temperature", default=0.7, cast=float),
-        top_p=opts.get("top_p", default=1.0, cast=float),
-        timeout=opts.get("timeout", default=60.0, cast=float),
-        max_attempts=opts.get("max_attempts", default=3, cast=int),
-        backoff=opts.get("backoff", default=0.5, cast=float),
+        temperature=args.temperature,
+        top_p=args.top_p,
+        timeout=args.timeout,
+        max_attempts=args.max_attempts,
+        backoff=args.backoff,
     )
     prompts = [
         (qid, question, build_prompt(question, knowledge, template))
@@ -666,14 +530,14 @@ def _cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
             )
         )
         latencies[qid] = answer.latency_s
-    _emit("".join(lines), out_path)
-    if out_path:
+    _emit("".join(lines), args.out)
+    if args.out:
         meta = {
             "endpoint": url,
             "generated_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "latencies_s": latencies,
         }
-        _atomic_write(f"{out_path}.meta.json", _dump_json(meta))
+        _atomic_write(f"{args.out}.meta.json", _dump_json(meta))
     return 0
 
 
@@ -682,17 +546,22 @@ def _cmd_generate(args: argparse.Namespace, cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="YAML config file; flags override it")
-    sub.add_argument("--seed", type=int, help="random seed (root seed for sweep)")
-    sub.add_argument("--out", help="output file (or directory where noted)")
-    sub.add_argument("--workers", type=int, help="worker pool width for sweep")
-    sub.add_argument(
-        "--format", choices=list(FORMATS), help="input graph format (default tsv)"
-    )
+def _comma_list(item):
+    """argparse type: a comma-separated list of ``item`` values."""
+
+    def comma_list(text: str) -> list:
+        return [item(part.strip()) for part in text.split(",") if part.strip()]
+
+    return comma_list
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``kgr`` parser and its subparsers by command name.
+
+    Flags shared by several commands live in parent parsers, so each flag
+    is declared once; a command accepts only the flags it reads.  Build a
+    fresh parser per run: config defaults are set on the shared actions.
+    """
     parser = argparse.ArgumentParser(
         prog="kgr",
         description="Knowledge-graph extraction, retrieval, perturbation, and metrics",
@@ -700,99 +569,129 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     subs = parser.add_subparsers(dest="command")
 
-    p = subs.add_parser("stats", help="whole-graph statistics as JSON")
-    _common_flags(p)
-    p.add_argument("--graph", help="input graph file")
+    def parent() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
 
-    p = subs.add_parser("extract", help="K-hop extraction plus PPR pruning")
-    _common_flags(p)
-    p.add_argument("--graph", help="input graph file")
-    p.add_argument("--seeds", help="comma-separated seed entity ids")
-    p.add_argument("--queries", help="queries JSONL with per-query seeds")
-    p.add_argument("--hops", type=int, help="hop budget (default 2)")
-    p.add_argument("--alpha", type=float, help="restart weight (default 0.85)")
-    p.add_argument("--tol", type=float, help="convergence tolerance (default 1e-6)")
-    p.add_argument("--max-iter", type=int, help="iteration cap (default 100)")
-    p.add_argument(
-        "--prune-threshold", type=float, help="score cutoff (default 1e-5)"
+    common = parent()
+    common.add_argument("--config", help="YAML config file; flags override it")
+    common.add_argument("--out", help="output file (or directory where noted)")
+    graph_in = parent()
+    graph_in.add_argument("--graph", help="input graph file")
+    graph_in.add_argument(
+        "--format", choices=FORMATS, default=FORMAT_TSV,
+        help="input graph format (default %(default)s)",
     )
-    p.add_argument(
-        "--undirected", action="store_const", const=True, help="walk ignores direction"
+    seeded = parent()
+    seeded.add_argument(
+        "--seed", type=int, default=0,
+        help="random seed; sweep derives its cell seeds from it (default %(default)s)",
     )
-
-    p = subs.add_parser("retrieve", help="prize-based knowledge retrieval")
-    _common_flags(p)
-    p.add_argument("--graph", help="shared input graph file")
-    p.add_argument("--graph-dir", help="directory of per-query <id>.tsv graphs")
-    p.add_argument("--queries", help="queries JSONL")
-    p.add_argument("--variant", help="triplets | paths | subgraph")
-    p.add_argument("--k", type=int, help="prize depth (default 15)")
-    p.add_argument("--edge-cost", type=float, help="uniform edge cost (default 1.0)")
-    p.add_argument("--n", type=int, help="triplet count (default k)")
-    p.add_argument("--start-count", type=int, help="path start nodes (default 5)")
-    p.add_argument("--max-len", type=int, help="path length cap in edges (default 4)")
-    p.add_argument("--result-count", type=int, help="paths returned (default k)")
-    p.add_argument(
-        "--directed-only",
-        action="store_const",
-        const=True,
-        help="paths follow edge direction only",
+    queried = parent()
+    queried.add_argument("--queries", help="queries JSONL")
+    retrieval = parent()
+    retrieval.add_argument(
+        "--variant", choices=VARIANTS, default=VARIANT_TRIPLETS,
+        help="retrieval variant (default %(default)s)",
     )
-    p.add_argument("--embed-url", help=f"embedding endpoint (default ${EMBED_URL_ENV})")
-    p.add_argument("--embed-token", help=f"bearer token (default ${EMBED_TOKEN_ENV})")
-
-    p = subs.add_parser("perturb", help="apply one perturbation method")
-    _common_flags(p)
-    p.add_argument("--graph", help="input graph file")
-    p.add_argument("--method", help=" | ".join(METHODS))
-    p.add_argument("--level", type=float, help="perturbation level in [0, 1]")
-    p.add_argument("--edit-log", help="write the edit log JSONL here")
-    p.add_argument(
+    retrieval.add_argument("--k", type=int, default=15, help="prize depth (default %(default)s)")
+    retrieval.add_argument(
+        "--edge-cost", type=float, default=1.0, help="uniform edge cost (default %(default)s)"
+    )
+    retrieval.add_argument("--n", type=int, help="triplet count (default k)")
+    retrieval.add_argument(
+        "--start-count", type=int, default=5, help="path start nodes (default %(default)s)"
+    )
+    retrieval.add_argument(
+        "--max-len", type=int, default=4, help="path length cap in edges (default %(default)s)"
+    )
+    retrieval.add_argument("--result-count", type=int, help="paths returned (default k)")
+    retrieval.add_argument(
+        "--directed-only", action="store_true", help="paths follow edge direction only"
+    )
+    retrieval.add_argument("--embed-url", help=f"embedding endpoint (default ${EMBED_URL_ENV})")
+    retrieval.add_argument("--embed-token", help=f"bearer token (default ${EMBED_TOKEN_ENV})")
+    damage = parent()
+    damage.add_argument("--method", help="perturbation method: " + " | ".join(METHODS))
+    damage.add_argument("--level", type=float, help="perturbation level in [0, 1]")
+    replacing = parent()
+    replacing.add_argument(
         "--replace-mode",
         choices=[REPLACE_LEAST_PLAUSIBLE, REPLACE_MOST_PLAUSIBLE],
-        help="relation_replace candidate order",
+        default=REPLACE_LEAST_PLAUSIBLE,
+        help="relation_replace candidate order (default %(default)s)",
     )
 
-    p = subs.add_parser("measure", help="similarity metrics original vs perturbed")
-    _common_flags(p)
-    p.add_argument("--graph", help="original graph file")
+    def command(name: str, help: str, *parents) -> argparse.ArgumentParser:
+        return subs.add_parser(name, help=help, parents=[common, *parents])
+
+    command("stats", "whole-graph statistics as JSON", graph_in)
+
+    p = command("extract", "K-hop extraction plus PPR pruning", graph_in, queried)
+    ppr = PprConfig()
+    p.add_argument("--seeds", type=_comma_list(str), help="comma-separated seed entity ids")
+    p.add_argument("--hops", type=int, default=2, help="hop budget (default %(default)s)")
+    p.add_argument(
+        "--alpha", type=float, default=ppr.alpha, help="restart weight (default %(default)s)"
+    )
+    p.add_argument(
+        "--tol", type=float, default=ppr.tol, help="convergence tolerance (default %(default)s)"
+    )
+    p.add_argument(
+        "--max-iter", type=int, default=ppr.max_iter, help="iteration cap (default %(default)s)"
+    )
+    p.add_argument(
+        "--prune-threshold", type=float, default=ppr.prune_threshold,
+        help="score cutoff (default %(default)s)",
+    )
+    p.add_argument("--undirected", action="store_true", help="walk ignores direction")
+
+    p = command("retrieve", "prize-based knowledge retrieval", graph_in, queried, retrieval)
+    p.add_argument("--graph-dir", help="directory of per-query <id>.tsv graphs")
+
+    p = command("perturb", "apply one perturbation method", graph_in, seeded, damage, replacing)
+    p.add_argument("--edit-log", help="write the edit log JSONL here")
+
+    p = command("measure", "similarity metrics original vs perturbed", graph_in, seeded, damage)
     p.add_argument("--perturbed", help="perturbed graph file (else perturb inline)")
-    p.add_argument("--method", help="perturbation method (inline or metadata)")
-    p.add_argument("--level", type=float, help="perturbation level")
 
-    p = subs.add_parser("sweep", help="method x level x seed perturbation grid")
-    _common_flags(p)
-    p.add_argument("--graph", help="input graph file")
-    p.add_argument("--queries", help="queries JSONL")
-    p.add_argument("--methods", help="comma-separated methods (default all four)")
-    p.add_argument("--levels", help="comma-separated levels (default 0,0.25,...,1)")
-    p.add_argument("--num-seeds", type=int, help="seeds per cell (default 5)")
-    p.add_argument("--variant", help="retrieval variant for overlap (default triplets)")
-    p.add_argument("--k", type=int, help="prize depth (default 15)")
-    p.add_argument("--edge-cost", type=float, help="uniform edge cost (default 1.0)")
-    p.add_argument("--start-count", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--max-len", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--result-count", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--directed-only", action="store_const", const=True, help=argparse.SUPPRESS)
-    p.add_argument("--replace-mode", choices=[REPLACE_LEAST_PLAUSIBLE, REPLACE_MOST_PLAUSIBLE])
-    p.add_argument("--embed-url", help=f"embedding endpoint (default ${EMBED_URL_ENV})")
-    p.add_argument("--embed-token", help=f"bearer token (default ${EMBED_TOKEN_ENV})")
+    p = command(
+        "sweep", "method x level x seed perturbation grid, cells run serially",
+        graph_in, seeded, queried, retrieval, replacing,
+    )
+    p.add_argument(
+        "--methods", type=_comma_list(normalize_method), default=",".join(METHODS),
+        help="comma-separated methods (default %(default)s)",
+    )
+    p.add_argument(
+        "--levels", type=_comma_list(float), default="0.0,0.25,0.5,0.75,1.0",
+        help="comma-separated levels (default %(default)s)",
+    )
+    p.add_argument("--num-seeds", type=int, default=5, help="seeds per cell (default %(default)s)")
 
-    p = subs.add_parser("generate", help="prompt building and answer generation")
-    _common_flags(p)
+    p = command("generate", "prompt building and answer generation")
     p.add_argument("--retrieved", help="JSONL produced by `kgr retrieve`")
     p.add_argument("--gen-url", help=f"generation endpoint (default ${GEN_URL_ENV})")
     p.add_argument("--gen-token", help=f"bearer token (default ${GEN_TOKEN_ENV})")
     p.add_argument("--template-system", help="system text file (default built-in)")
     p.add_argument("--template-body", help="body pattern file (default built-in)")
-    p.add_argument("--temperature", type=float, help="sampling temperature (default 0.7)")
-    p.add_argument("--top-p", type=float, help="nucleus mass (default 1.0)")
-    p.add_argument("--timeout", type=float, help="request timeout seconds (default 60)")
-    p.add_argument("--max-attempts", type=int, help="attempts per request (default 3)")
-    p.add_argument("--backoff", type=float, help="base backoff seconds (default 0.5)")
-
-    return parser
+    p.add_argument(
+        "--temperature", type=float, default=DEFAULT_TEMPERATURE,
+        help="sampling temperature (default %(default)s)",
+    )
+    p.add_argument("--top-p", type=float, default=DEFAULT_TOP_P, help="nucleus mass (default %(default)s)")
+    p.add_argument(
+        "--timeout", type=float, default=DEFAULT_TIMEOUT,
+        help="request timeout seconds (default %(default)s)",
+    )
+    p.add_argument(
+        "--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
+        help="attempts per request (default %(default)s)",
+    )
+    p.add_argument(
+        "--backoff", type=float, default=DEFAULT_BACKOFF,
+        help="base backoff seconds (default %(default)s)",
+    )
+    return parser, subs.choices
 
 
 _HANDLERS = {
@@ -807,28 +706,28 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
+        # Flag > config > default: the config file becomes the command's
+        # parser defaults, then the command line is parsed against them.
+        args, _ = parser.parse_known_args(argv)
+        if args.command and args.config:
+            commands[args.command].set_defaults(**_config_defaults(args.config, args.command))
         args = parser.parse_args(argv)
+        if args.verbose:
+            logging.basicConfig(level=logging.DEBUG)
+        if not args.command:
+            parser.print_help()
+            return 2
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.verbose:
-        logging.basicConfig(level=logging.DEBUG)
-    if not args.command:
-        parser.print_help()
-        return 2
-    try:
-        cfg = _load_config(args.config)
-        return _HANDLERS[args.command](args, cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (TransportError, GenerationError) as exc:
+    except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 4
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (EntityNotFoundError, KeyError) as exc:
         print(f"error: not found: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 from .graph import EntityNotFoundError, KnowledgeGraph, Triple
 
@@ -151,8 +151,3 @@ def khop_subgraph(g: KnowledgeGraph, request: SubgraphRequest) -> KnowledgeGraph
                 queue.append(u)
     kept = [t for t in g.triples if t.subject in dist and t.object in dist]
     return KnowledgeGraph.from_triples(kept, extra_entities=request.seeds)
-
-
-def triples_from_lines(lines: Iterable[tuple[str, str, str]]) -> KnowledgeGraph:
-    """Convenience builder used by tests and demo scripts."""
-    return KnowledgeGraph.from_triples(lines)

@@ -10,7 +10,6 @@ fallback that needs no network at all.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -117,14 +116,6 @@ class ServiceEmbedder:
     backoff: float = DEFAULT_BACKOFF
     kind: str = field(default="external_service", init=False)
 
-    @classmethod
-    def from_env(cls, **overrides) -> "ServiceEmbedder":
-        url = os.environ.get(EMBED_URL_ENV, "")
-        if not url:
-            raise ValueError(f"{EMBED_URL_ENV} is not set")
-        token = os.environ.get(EMBED_TOKEN_ENV) or None
-        return cls(url=url, token=token, **overrides)
-
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         for t in texts:
             if not t or not t.strip():
@@ -161,20 +152,6 @@ class ServiceEmbedder:
                     )
                 out.append(vec / norm)
         return out
-
-
-def default_embedder() -> HashedBagEmbedder | ServiceEmbedder:
-    """Service embedder when KGR_EMBED_URL is set, else the offline one."""
-    if os.environ.get(EMBED_URL_ENV):
-        return ServiceEmbedder.from_env()
-    return HashedBagEmbedder()
-
-
-def embed_texts(provider, texts: Sequence[str]) -> list[np.ndarray]:
-    """Embed a non-empty list of non-empty texts into unit vectors."""
-    if not texts:
-        raise ValueError("texts must be non-empty")
-    return provider.embed(texts)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -267,7 +244,7 @@ def rank_graph_elements(g, query: str, provider=None) -> tuple[list[str], list[T
     texts = [query] + [verbalize_element(n) for n in nodes] + [
         verbalize_element(e) for e in edges
     ]
-    vectors = embed_texts(provider, texts)
+    vectors = provider.embed(texts)
     qv = vectors[0]
     node_vecs = dict(zip(nodes, vectors[1 : 1 + len(nodes)]))
     edge_vecs = dict(zip(edges, vectors[1 + len(nodes) :]))

@@ -421,7 +421,8 @@ def retrieve_subgraph_pcst(
 
     Heuristic: fold each edge prize into a reduced cost (surplus becomes
     a zero-cost virtual node); from each of the top ``root_count`` prize
-    carriers grow two spanning trees (prize-chasing and cheapest-edge),
+    carriers, and from the best carrier of every component those trees
+    miss, grow two spanning trees (prize-chasing and cheapest-edge),
     keep each tree's best net-positive subtree, greedily attach any
     remaining profitable edges, and return the best candidate.  With no
     prizes anywhere the result degenerates to the single highest-degree
@@ -446,9 +447,15 @@ def retrieve_subgraph_pcst(
         )
 
     best_result: tuple | None = None
-    for root in prized[:root_count]:
+    reached: set[tuple] = set()
+    for i, root in enumerate(prized):
+        # Past the top roots, grow only from the best carrier of each
+        # component no tree has entered yet (a tree spans its component).
+        if i >= root_count and root in reached:
+            continue
         for greedy_prizes in (True, False):
             parent = _grow_tree(adjacency, prize_of, root, greedy_prizes)
+            reached.update(parent)
             _, selected = _best_subtree(parent, prize_of, root)
             nodes, triples, score = _subgraph_from_selection(g, prizes, parent, selected)
             key = (-score, tuple(sorted(nodes)), tuple(sorted(triples)))

@@ -46,13 +46,8 @@ class TemplateError(ValueError):
     """Template is missing a slot or repeats one."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(TransportError):
     """The generation endpoint failed for good."""
-
-    def __init__(self, message: str, attempts: int):
-        self.attempts = attempts
-        self.message = message
-        super().__init__(f"{message} (after {attempts} attempt(s))")
 
 
 class EmptyAnswerError(GenerationError):
@@ -219,7 +214,3 @@ class GenerationClient:
             latency_s=latency,
             retries=retries,
         )
-
-
-def generate_answer(client: GenerationClient, prompt: str) -> GeneratedAnswer:
-    return client.generate(prompt)

@@ -253,8 +253,6 @@ def test_criterion_10_round_trip_and_sweep_determinism(tmp_path):
                     "2",
                     "--seed",
                     "7",
-                    "--workers",
-                    "2",
                     "--out",
                     str(out_dir),
                 ]

@@ -340,8 +340,6 @@ class TestSweep:
                 "0.0,0.5,1.0",
                 "--num-seeds",
                 "2",
-                "--workers",
-                "2",
                 "--seed",
                 "123",
                 "--out",
@@ -640,3 +638,39 @@ class TestTopLevel:
         bad = tmp_path / "bad.tsv"
         bad.write_text("just_one_column\n", encoding="utf-8")
         assert main(["stats", "--graph", str(bad)]) == 2
+
+
+class TestParser:
+    def test_extract_config_section_matches_flags(self, graph_file, tmp_path, capsys):
+        path, _ = graph_file
+        cfg = tmp_path / "extract.yaml"
+        cfg.write_text(
+            "graph: {}\nextract:\n  hops: 1\n  alpha: 0.5\n  undirected: true\n".format(path),
+            encoding="utf-8",
+        )
+        assert main(["extract", "--config", str(cfg), "--seeds", "e0"]) == 0
+        from_config = capsys.readouterr().out
+        flags = ["--hops", "1", "--alpha", "0.5", "--undirected"]
+        assert main(["extract", "--graph", path, "--seeds", "e0", *flags]) == 0
+        from_flags = capsys.readouterr().out
+        assert from_config == from_flags
+        assert main(["extract", "--graph", path, "--seeds", "e0"]) == 0
+        assert capsys.readouterr().out != from_flags
+
+    def test_bad_config_value_is_config_error(self, graph_file, tmp_path):
+        path, _ = graph_file
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("extract:\n  hops: two\n", encoding="utf-8")
+        args = ["extract", "--graph", path, "--seeds", "e0", "--config", str(cfg)]
+        assert main(args) == 2
+
+    def test_config_cannot_pick_the_command(self, graph_file, tmp_path, capsys):
+        path, _ = graph_file
+        cfg = tmp_path / "cmd.yaml"
+        cfg.write_text("graph: {}\ncommand: measure\n".format(path), encoding="utf-8")
+        assert main(["stats", "--config", str(cfg)]) == 0
+        assert "node_count" in json.loads(capsys.readouterr().out)
+
+    def test_flag_the_command_does_not_read_is_rejected(self, graph_file):
+        path, _ = graph_file
+        assert main(["stats", "--graph", path, "--seed", "1"]) == 2

@@ -273,3 +273,26 @@ def test_retrieved_triples_per_variant():
     assert paths.retrieved_triples() == {t_ab, t_bc}
     sub = retrieve(CHAIN, prizes, variant="subgraph")
     assert sub.retrieved_triples() <= {t_ab, t_bc}
+
+
+def test_pcst_enters_components_the_top_roots_miss():
+    # The top three prize carriers are isolated nodes; the best subgraph
+    # lies in a component none of them reaches.
+    r0, r1, r2 = "r0", "r1", "r2"
+    t16, t48, t81, t93 = (
+        Triple("e1", r0, "e6"),
+        Triple("e4", r1, "e8"),
+        Triple("e8", r2, "e1"),
+        Triple("e9", r2, "e3"),
+    )
+    g = KnowledgeGraph.from_triples(
+        [t16, t48, t81, t93], extra_entities=[f"e{i}" for i in range(10)]
+    )
+    prizes = prizes_of(
+        {"e0": 4, "e2": 4, "e5": 4, "e9": 4, "e4": 3, "e7": 3, "e1": 2, "e3": 2, "e6": 2, "e8": 1},
+        {t16: 2, t81: 1},
+    )
+    got = retrieve_subgraph_pcst(g, prizes)
+    assert brute_force_best_subgraph(g, prizes).score == 8.0
+    assert got.score == 8.0
+    assert got.subgraph.entities == {"e1", "e4", "e6", "e8"}
