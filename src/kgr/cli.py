@@ -379,7 +379,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         baseline[q["id"]] = _retrieve_one(g, q["question"], provider, args).retrieved_triples()
     cell_seeds = _derive_seeds(args.seed, args.num_seeds)
 
-    def run_cell(method: str, level: float, seed: int) -> dict:
+    def run_cell(method: str, level: float, seed: int) -> tuple[dict, int | None]:
+        """The cell's record and its skipped-edit count (None if it failed)."""
         try:
             spec = PerturbationSpec(method=method, level=level, seed=seed)
             pg = perturb(g, spec, scorer=scorer, replace_mode=args.replace_mode)
@@ -392,7 +393,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 per_query.append(
                     {"id": q["id"], "overlap": _jaccard(baseline[q["id"]], retrieved)}
                 )
-            return {
+            record = {
                 "method": method,
                 "level": level,
                 "seed": seed,
@@ -402,8 +403,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "retrieval_overlap": sum(p["overlap"] for p in per_query) / len(per_query),
                 "per_query": per_query,
             }
+            return record, sum(rec.skipped for rec in pg.edit_log)
         except Exception as exc:  # cell failure must not sink the sweep
-            return {"method": method, "level": level, "seed": seed, "error": str(exc)}
+            logger.debug("sweep cell %s/%r/%d failed", method, level, seed, exc_info=True)
+            error = f"{type(exc).__name__}: {exc}"
+            return {"method": method, "level": level, "seed": seed, "error": error}, None
 
     header = {
         "record_type": "header",
@@ -420,6 +424,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = [_dump_jsonl_line(header)]
     csv_lines = ["method,level,mean_ats,mean_sc2d,mean_sd2,mean_retrieval_overlap,seeds_used"]
     cell_seconds: list[float] = []
+    skipped_edits: list[int | None] = []
     failures = 0
     # Cells run in record order: method, then level, then seed value.
     for method in methods:
@@ -427,8 +432,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             good = []
             for seed in sorted(cell_seeds):
                 cell_start = time.perf_counter()
-                record = run_cell(method, level, seed)
+                record, skipped = run_cell(method, level, seed)
                 cell_seconds.append(time.perf_counter() - cell_start)
+                skipped_edits.append(skipped)
                 lines.append(_dump_jsonl_line(record))
                 if "error" in record:
                     failures += 1
@@ -449,6 +455,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "cells": len(cell_seconds),
         "failed_cells": failures,
         "cell_seconds": cell_seconds,
+        "skipped_edits": skipped_edits,
     }
     _atomic_write(os.path.join(out_dir, "records.jsonl"), "".join(lines))
     _atomic_write(os.path.join(out_dir, "curves.csv"), "\n".join(csv_lines) + "\n")
@@ -719,6 +726,13 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             parser.print_help()
             return 2
+        # argparse checks ``choices`` on flags but not on defaults, so a
+        # config value has to be checked here.
+        for action in commands[args.command]._actions:
+            value = getattr(args, action.dest, None)
+            if action.choices is not None and value not in action.choices:
+                allowed = ", ".join(map(str, action.choices))
+                raise CliError(2, f"config value {action.dest}={value!r} is not one of {allowed}")
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

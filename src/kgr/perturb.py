@@ -6,13 +6,15 @@ Four heuristics, each parameterized by a level rho in [0, 1] and a seed:
 * ``relation_replace`` -- chosen edges get the least plausible other
   relation under an edge scorer (or the most plausible, behind a flag).
 * ``edge_rewire``      -- chosen edges keep subject and relation but move
-  their object to a uniformly drawn non-neighbor.
+  their object to a uniformly drawn non-neighbor, found by rejection
+  sampling over the entity order; at most 100 candidates are tried.
 * ``edge_delete``      -- chosen edges are removed outright.
 
 The entity set is never changed, every edit is logged, and replaying the
 log against the original graph reproduces the perturbed graph exactly.
 Edges are chosen by deterministically shuffling the canonical triple
-order with the given seed, so equal inputs give equal outputs.
+order with the given seed, so equal inputs give equal outputs.  Each
+method edits one working triple set in place; the graph is built once.
 """
 
 from __future__ import annotations
@@ -127,14 +129,17 @@ def _relation_swap(g: KnowledgeGraph, level: float, seed: int):
         e1, e2 = shuffled[2 * i], shuffled[2 * i + 1]
         f1 = Triple(e1.subject, e2.relation, e1.object)
         f2 = Triple(e2.subject, e1.relation, e2.object)
-        swapped = (current - {e1, e2}) | {f1, f2}
-        if len(swapped) != len(current):
+        # e1 and e2 are still in ``current`` (pairs are disjoint) and
+        # f1 != f2, so the swap keeps the triple count unless an f hits a
+        # third triple.  A parallel pair (f1 == e2, f2 == e1) swaps onto itself.
+        if any(f in current and f != e1 and f != e2 for f in (f1, f2)):
             # The swap would collide with an existing triple and silently
             # shrink the graph; leave the pair untouched instead.
             log.append(EditRecord(METHOD_RELATION_SWAP + _SKIP_SUFFIX, e1, e1))
             log.append(EditRecord(METHOD_RELATION_SWAP + _SKIP_SUFFIX, e2, e2))
             continue
-        current = swapped
+        current.difference_update((e1, e2))
+        current.update((f1, f2))
         log.append(EditRecord(METHOD_RELATION_SWAP, e1, f1))
         log.append(EditRecord(METHOD_RELATION_SWAP, e2, f2))
     return current, log
@@ -172,7 +177,8 @@ def _relation_replace(
         if replacement is None:
             log.append(EditRecord(METHOD_RELATION_REPLACE + _SKIP_SUFFIX, e, e))
             continue
-        current = (current - {e}) | {replacement}
+        current.discard(e)
+        current.add(replacement)
         log.append(EditRecord(METHOD_RELATION_REPLACE, e, replacement))
     return current, log
 
@@ -180,15 +186,26 @@ def _relation_replace(
 def _edge_rewire(g: KnowledgeGraph, level: float, seed: int):
     shuffled, rng = _shuffled_triples(g, seed)
     targets = shuffled[: round_half_up(level * len(shuffled))]
+    order = g.entity_order
+    n = len(order)
     current = set(g.triples)
     log: list[EditRecord] = []
     for e in targets:
         # Candidate objects exclude the subject and its original 1-hop
-        # neighborhood (either direction), per the original graph.
-        pool = sorted(g.entities - g.undirected_neighbors[e.subject] - {e.subject})
-        rng.shuffle(pool)
+        # neighborhood (either direction), per the original graph.  Draw
+        # uniformly from all entities and reject excluded or already tried
+        # ones: the distinct candidates come out as a uniform random order
+        # of the pool, of which the first 100 are tried.
+        nbrs = g.undirected_neighbors[e.subject]
+        pool_size = n - len(nbrs) - (e.subject not in nbrs)
+        tries = min(100, pool_size)
+        tried: set[str] = set()
         replacement = None
-        for v3 in pool[:100]:
+        while len(tried) < tries:
+            v3 = order[rng.randrange(n)]
+            if v3 == e.subject or v3 in nbrs or v3 in tried:
+                continue
+            tried.add(v3)
             candidate = Triple(e.subject, e.relation, v3)
             if candidate not in current:
                 replacement = candidate
@@ -196,7 +213,8 @@ def _edge_rewire(g: KnowledgeGraph, level: float, seed: int):
         if replacement is None:
             log.append(EditRecord(METHOD_EDGE_REWIRE + _SKIP_SUFFIX, e, e))
             continue
-        current = (current - {e}) | {replacement}
+        current.discard(e)
+        current.add(replacement)
         log.append(EditRecord(METHOD_EDGE_REWIRE, e, replacement))
     return current, log
 
@@ -204,7 +222,8 @@ def _edge_rewire(g: KnowledgeGraph, level: float, seed: int):
 def _edge_delete(g: KnowledgeGraph, level: float, seed: int):
     shuffled, _ = _shuffled_triples(g, seed)
     removed = shuffled[: round_half_up(level * len(shuffled))]
-    current = set(g.triples) - set(removed)
+    current = set(g.triples)
+    current.difference_update(removed)
     log = [EditRecord(METHOD_EDGE_DELETE, e, None) for e in removed]
     return current, log
 

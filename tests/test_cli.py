@@ -388,6 +388,10 @@ class TestSweep:
         assert meta["cells"] == 12
         assert meta["failed_cells"] == 0
         assert len(meta["cell_seconds"]) == 12
+        # Skipped edits per cell, in record order: edge_delete never skips.
+        assert len(meta["skipped_edits"]) == 12
+        assert meta["skipped_edits"][:6] == [0] * 6
+        assert all(isinstance(n, int) and n >= 0 for n in meta["skipped_edits"])
 
     def test_rerun_is_byte_identical(self, graph_file, queries_file, tmp_path):
         path, _ = graph_file
@@ -415,8 +419,10 @@ class TestSweep:
         # at every level (6 cells).
         assert len(errors) == 8
         assert all("synthetic" in r["error"] for r in errors)
+        assert all(r["error"] == "RuntimeError: synthetic cell failure" for r in errors)
         meta = json.loads((out_dir / "meta.json").read_text())
         assert meta["failed_cells"] == 8
+        assert [n is None for n in meta["skipped_edits"]] == ["error" in r for r in records]
         csv_lines = (out_dir / "curves.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + 2  # only ed at 0.5 and 1.0 have data
 
@@ -663,6 +669,27 @@ class TestParser:
         cfg.write_text("extract:\n  hops: two\n", encoding="utf-8")
         args = ["extract", "--graph", path, "--seeds", "e0", "--config", str(cfg)]
         assert main(args) == 2
+
+    def test_config_value_outside_choices_is_config_error(
+        self, graph_file, queries_file, tmp_path, capsys
+    ):
+        path, _ = graph_file
+        cfg = tmp_path / "choices.yaml"
+        cfg.write_text("sweep:\n  replace_mode: bogus\n", encoding="utf-8")
+        out_dir = tmp_path / "sweep"
+        args = [
+            "sweep", "--graph", path, "--queries", queries_file, "--out", str(out_dir),
+            "--methods", "rr", "--levels", "0.5", "--num-seeds", "1",
+        ]
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert "replace_mode='bogus'" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert main([*args, "--replace-mode", "bogus"]) == 2
+        for command, key in (("stats", "format"), ("retrieve", "variant")):
+            cfg.write_text(f"{key}: bogus\n", encoding="utf-8")
+            extra = ["--queries", queries_file] if command == "retrieve" else []
+            assert main([command, "--graph", path, *extra, "--config", str(cfg)]) == 2
+            assert f"{key}='bogus'" in capsys.readouterr().err
 
     def test_config_cannot_pick_the_command(self, graph_file, tmp_path, capsys):
         path, _ = graph_file

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from kgr.graph import KnowledgeGraph
+from kgr.graph import KnowledgeGraph, local_clustering, relation_subgraph
 from kgr.metrics import (
     ats,
     compare,
@@ -138,6 +139,74 @@ def test_mean_relation_vectors_directly():
     np.testing.assert_allclose(mean_relation_clustering(g), [0.5, 0.5, 0.5])
     # Degrees: A and C carry 2+1 endpoints, B carries 2+2, over 2 relations.
     np.testing.assert_allclose(mean_relation_degree(g), [1.5, 2.0, 1.5])
+
+
+def reference_mean_relation_clustering(g):
+    """The per-relation subgraph loop that mean_relation_clustering replaces."""
+    order = g.entity_order
+    acc = np.zeros(len(order), dtype=np.float64)
+    relations = sorted(g.relations)
+    if not relations:
+        return acc
+    for r in relations:
+        sub = relation_subgraph(g, r)
+        acc += np.array([local_clustering(sub, v) for v in order], dtype=np.float64)
+    return acc / len(relations)
+
+
+def reference_mean_relation_degree(g):
+    acc = np.zeros(len(g.entities), dtype=np.float64)
+    if not g.relations:
+        return acc
+    for t in g.triples:
+        acc[g.entity_index[t.subject]] += 1.0
+        acc[g.entity_index[t.object]] += 1.0
+    return acc / len(g.relations)
+
+
+def messy_graphs(seed, count):
+    """Random graphs with self-loops, parallel edges and orphan relations."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        g = random_graph(
+            rng, n, rng.randint(0, 3 * n), n_relations=rng.randint(1, 4), allow_self_loops=True
+        )
+        orphans = [f"orphan{i}" for i in range(rng.randint(0, 2))]
+        yield KnowledgeGraph.from_triples(
+            g.triples, extra_entities=g.entities, extra_relations=orphans
+        )
+
+
+def test_mean_relation_vectors_match_reference_loops_bit_for_bit():
+    graphs = list(messy_graphs(701, 300))
+    assert any(t.subject == t.object for g in graphs for t in g.triples)
+    assert any(
+        len({(t.subject, t.object) for t in g.triples}) < len(g.triples) for g in graphs
+    )
+    assert any(g.relations - {t.relation for t in g.triples} for g in graphs)
+    assert any(mean_relation_clustering(g).any() for g in graphs)
+    for g in graphs:
+        assert np.array_equal(mean_relation_clustering(g), reference_mean_relation_clustering(g))
+        assert np.array_equal(mean_relation_degree(g), reference_mean_relation_degree(g))
+
+
+def test_mean_relation_clustering_matches_networkx():
+    for g in messy_graphs(709, 150):
+        expected = np.zeros(len(g.entities), dtype=np.float64)
+        for r in g.relations:
+            projection = nx.Graph()
+            projection.add_nodes_from(g.entity_order)
+            projection.add_edges_from(
+                (t.subject, t.object)
+                for t in g.triples
+                if t.relation == r and t.subject != t.object
+            )
+            clustering = nx.clustering(projection)
+            expected += np.array([clustering[v] for v in g.entity_order])
+        if g.relations:
+            expected /= len(g.relations)
+        np.testing.assert_allclose(mean_relation_clustering(g), expected, rtol=0, atol=1e-12)
 
 
 def test_zero_relation_graph_gives_zero_vectors():

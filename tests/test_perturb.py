@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgr.graph import KnowledgeGraph, Triple
 from kgr.metrics import fit_baseline_scorer
@@ -164,6 +165,35 @@ def test_edge_rewire_skips_when_no_candidate_exists():
     assert all(rec.skipped for rec in result.edit_log)
 
 
+def test_edge_rewire_finds_the_only_non_neighbor():
+    # s is adjacent to every entity but t; each s-edge has its own
+    # relation, so all of them can move onto t without colliding.
+    others = [f"e{i}" for i in range(48)]
+    g = KnowledgeGraph.from_triples(
+        [("s", f"r{i}", v) for i, v in enumerate(others)], extra_entities=["t"]
+    )
+    for seed in range(5):
+        result = perturb(g, PerturbationSpec("er", 1.0, seed))
+        assert len(result.edit_log) == len(others)
+        for rec in result.edit_log:
+            assert not rec.skipped
+            assert rec.after == Triple("s", rec.before.relation, "t")
+
+
+def test_edge_rewire_skips_when_the_small_pool_is_used_up():
+    # Pool of two (p1, p2) for three same-relation edges: the first two
+    # edits take the pool, the third finds only collisions and is skipped.
+    g = KnowledgeGraph.from_triples(
+        [("s", "r", "x1"), ("s", "r", "x2"), ("s", "r", "x3")],
+        extra_entities=["p1", "p2"],
+    )
+    for seed in range(10):
+        log = perturb(g, PerturbationSpec("er", 1.0, seed)).edit_log
+        assert [rec.skipped for rec in log] == [False, False, True]
+        assert {log[0].after.object, log[1].after.object} == {"p1", "p2"}
+        assert log[2].after == log[2].before
+
+
 def test_relation_replace_follows_scorer_ranking():
     g = fixture_graph(seed=400, nodes=10, edges=20)
     scorer = fit_baseline_scorer(g)
@@ -223,6 +253,57 @@ def test_replay_reproduces_perturbed_graph():
             for level in (0.1, 0.5, 1.0):
                 result = perturb(g, PerturbationSpec(method, level, seed))
                 assert replay_edit_log(g, result.edit_log) == result.graph
+
+
+triples_strategy = st.lists(
+    st.tuples(
+        st.sampled_from("abcdef"), st.sampled_from(["r1", "r2", "r3"]), st.sampled_from("abcdef")
+    ),
+    min_size=1,  # relation_replace's default scorer rejects an empty graph
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=triples_strategy,
+    isolated=st.lists(st.sampled_from(["x", "y"]), max_size=2),
+    method=st.sampled_from(METHODS),
+    level=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replay_reproduces_any_perturbation(triples, isolated, method, level, seed):
+    g = KnowledgeGraph.from_triples(triples, extra_entities=isolated)
+    pg = perturb(g, PerturbationSpec(method, level, seed))
+    assert replay_edit_log(g, pg.edit_log) == pg.graph
+
+
+def copy_per_edit_relation_swap(g, level, seed):
+    """Triples and skip flags of the swap rule that copies the set per pair."""
+    rng = random.Random(seed)
+    shuffled = list(g.triples)
+    rng.shuffle(shuffled)
+    n_pairs = min(round_half_up(level * len(shuffled) / 2.0), len(shuffled) // 2)
+    current, skipped = set(g.triples), []
+    for i in range(n_pairs):
+        e1, e2 = shuffled[2 * i], shuffled[2 * i + 1]
+        f1 = Triple(e1.subject, e2.relation, e1.object)
+        f2 = Triple(e2.subject, e1.relation, e2.object)
+        swapped = (current - {e1, e2}) | {f1, f2}
+        skipped += [len(swapped) != len(current)] * 2
+        if len(swapped) == len(current):
+            current = swapped
+    return current, skipped
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples=triples_strategy, level=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_relation_swap_collision_rule_is_unchanged(triples, level, seed):
+    g = KnowledgeGraph.from_triples(triples)
+    pg = perturb(g, PerturbationSpec("rs", level, seed))
+    expected, skipped = copy_per_edit_relation_swap(g, level, seed)
+    assert set(pg.graph.triples) == expected
+    assert [rec.skipped for rec in pg.edit_log] == skipped
 
 
 def test_replay_handles_parallel_edge_relation_swap():
