@@ -449,6 +449,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     ",".join([method, repr(level), *map(repr, means), str(len(good))])
                 )
 
+    memo_stats = getattr(provider, "memo_stats", {})
     meta = {
         "started_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - started,
@@ -456,6 +457,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "failed_cells": failures,
         "cell_seconds": cell_seconds,
         "skipped_edits": skipped_edits,
+        # Embedder memo counters; null for a provider without a memo.
+        "embedded_texts": memo_stats.get("embedded"),
+        "embed_cache_hits": memo_stats.get("hits"),
     }
     _atomic_write(os.path.join(out_dir, "records.jsonl"), "".join(lines))
     _atomic_write(os.path.join(out_dir, "curves.csv"), "\n".join(csv_lines) + "\n")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 
 class EntityNotFoundError(KeyError):
     """Raised when an entity id is not present in a graph."""
@@ -135,6 +137,61 @@ class KnowledgeGraph:
             e: frozenset(n for n in ns if n != e)
             for e, ns in self.undirected_neighbors.items()
         }
+
+    @cached_property
+    def mean_relation_clustering(self) -> np.ndarray:
+        """Mean over relations of per-relation local clustering vectors.
+
+        Entry i belongs to the i-th entity in lexicographic order.  Each
+        relation's clustering is taken on its undirected simple projection
+        (self-loops dropped), as :func:`local_clustering` does on
+        :func:`relation_subgraph`; entities the relation does not touch
+        contribute 0.  A graph whose relation set is empty yields the zero
+        vector.  The array is read-only.
+        """
+        index = self.entity_index
+        acc = np.zeros(len(index), dtype=np.float64)
+        relations = sorted(self.relations)
+        if relations:
+            adjacency: dict[str, dict[str, set[str]]] = {r: {} for r in relations}
+            for t in self.triples:
+                if t.subject != t.object:
+                    adj = adjacency[t.relation]
+                    adj.setdefault(t.subject, set()).add(t.object)
+                    adj.setdefault(t.object, set()).add(t.subject)
+            for r in relations:  # sorted, so each entry's float sum has a fixed order
+                adj = adjacency[r]
+                for v, nbrs in adj.items():
+                    deg = len(nbrs)
+                    if deg < 2:
+                        continue
+                    # Every edge among v's neighbours is seen from both ends.
+                    tri = sum(len(adj[u] & nbrs) for u in nbrs) // 2
+                    acc[index[v]] += 2.0 * tri / (deg * (deg - 1))
+            acc /= len(relations)
+        acc.flags.writeable = False
+        return acc
+
+    @cached_property
+    def mean_relation_degree(self) -> np.ndarray:
+        """Mean over relations of per-relation undirected degree vectors.
+
+        Each triple adds one to the degree of both endpoints inside its own
+        relation subgraph (a self-loop therefore adds two to its node).
+        The array is read-only.
+        """
+        n = len(self.entities)
+        if self.relations:
+            index = self.entity_index
+            ends = [index[t.subject] for t in self.triples] + [
+                index[t.object] for t in self.triples
+            ]
+            counts = np.bincount(np.asarray(ends, dtype=np.intp), minlength=n)
+            vec = counts.astype(np.float64) / len(self.relations)
+        else:
+            vec = np.zeros(n, dtype=np.float64)
+        vec.flags.writeable = False
+        return vec
 
 
 @dataclass(frozen=True)

@@ -100,65 +100,17 @@ def _require_same_entities(g: KnowledgeGraph, g_prime: KnowledgeGraph) -> None:
         raise ValueError("graphs must share the same entity set")
 
 
-def mean_relation_clustering(g: KnowledgeGraph) -> np.ndarray:
-    """Mean over relations of per-relation local clustering vectors.
-
-    Entry i belongs to the i-th entity in lexicographic order.  Each
-    relation's clustering is taken on its undirected simple projection
-    (self-loops dropped), as :func:`kgr.graph.local_clustering` does on
-    :func:`kgr.graph.relation_subgraph`; entities the relation does not
-    touch contribute 0.  A graph whose relation set is empty yields the
-    zero vector.
-    """
-    index = g.entity_index
-    acc = np.zeros(len(index), dtype=np.float64)
-    relations = sorted(g.relations)
-    if not relations:
-        return acc
-    adjacency: dict[str, dict[str, set[str]]] = {r: {} for r in relations}
-    for t in g.triples:
-        if t.subject != t.object:
-            adj = adjacency[t.relation]
-            adj.setdefault(t.subject, set()).add(t.object)
-            adj.setdefault(t.object, set()).add(t.subject)
-    for r in relations:  # sorted, so each entry's float sum has a fixed order
-        adj = adjacency[r]
-        for v, nbrs in adj.items():
-            deg = len(nbrs)
-            if deg < 2:
-                continue
-            # Every edge among v's neighbours is seen from both ends.
-            tri = sum(len(adj[u] & nbrs) for u in nbrs) // 2
-            acc[index[v]] += 2.0 * tri / (deg * (deg - 1))
-    return acc / len(relations)
-
-
-def mean_relation_degree(g: KnowledgeGraph) -> np.ndarray:
-    """Mean over relations of per-relation undirected degree vectors.
-
-    Each triple adds one to the degree of both endpoints inside its own
-    relation subgraph (a self-loop therefore adds two to its node).
-    """
-    n = len(g.entities)
-    if not g.relations:
-        return np.zeros(n, dtype=np.float64)
-    index = g.entity_index
-    ends = [index[t.subject] for t in g.triples] + [index[t.object] for t in g.triples]
-    counts = np.bincount(np.asarray(ends, dtype=np.intp), minlength=n)
-    return counts.astype(np.float64) / len(g.relations)
-
-
 def sc2d(g: KnowledgeGraph, g_prime: KnowledgeGraph) -> float:
     """Similarity of mean per-relation clustering-coefficient vectors."""
     _require_same_entities(g, g_prime)
-    d = float(np.linalg.norm(mean_relation_clustering(g) - mean_relation_clustering(g_prime)))
+    d = float(np.linalg.norm(g.mean_relation_clustering - g_prime.mean_relation_clustering))
     return distance_to_similarity(d)
 
 
 def sd2(g: KnowledgeGraph, g_prime: KnowledgeGraph) -> float:
     """Similarity of mean per-relation degree vectors."""
     _require_same_entities(g, g_prime)
-    d = float(np.linalg.norm(mean_relation_degree(g) - mean_relation_degree(g_prime)))
+    d = float(np.linalg.norm(g.mean_relation_degree - g_prime.mean_relation_degree))
     return distance_to_similarity(d)
 
 

@@ -152,6 +152,10 @@ def _relation_replace(
         raise ValueError(f"unknown replace mode {mode!r}")
     shuffled, _ = _shuffled_triples(g, seed)
     targets = shuffled[: round_half_up(level * len(shuffled))]
+    if targets and scorer is None:
+        from .metrics import fit_baseline_scorer
+
+        scorer = fit_baseline_scorer(g)
     relations = sorted(g.relations)
     current = set(g.triples)
     log: list[EditRecord] = []
@@ -237,17 +241,14 @@ def perturb(
     """Apply one perturbation method at ``spec.level`` to ``g``.
 
     ``scorer`` is only consulted by ``relation_replace`` and defaults to
-    the baseline frequency scorer fitted on ``g``.  The returned graph
-    keeps the original entity set; all edits (and skips, e.g. when a
-    rewire target pool is empty) are recorded in application order.
+    the baseline frequency scorer, fitted on ``g`` only when there is an
+    edge to replace.  The returned graph keeps the original entity set;
+    all edits (and skips, e.g. when a rewire target pool is empty) are
+    recorded in application order.
     """
     if spec.method == METHOD_RELATION_SWAP:
         triples, log = _relation_swap(g, spec.level, spec.seed)
     elif spec.method == METHOD_RELATION_REPLACE:
-        if scorer is None:
-            from .metrics import fit_baseline_scorer
-
-            scorer = fit_baseline_scorer(g)
         triples, log = _relation_replace(g, spec.level, spec.seed, scorer, replace_mode)
     elif spec.method == METHOD_EDGE_REWIRE:
         triples, log = _edge_rewire(g, spec.level, spec.seed)

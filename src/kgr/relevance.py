@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -73,14 +74,35 @@ class HashedBagEmbedder:
     """Deterministic offline embedder: signed hashed bag of tokens.
 
     Token order does not matter and no state is ever learned, so equal
-    texts map to bit-identical unit vectors on every platform.
+    texts map to bit-identical unit vectors on every platform.  Because
+    the embedding is pure, :meth:`embed_cached` can memoize it exactly;
+    the memo lives as long as the instance.
     """
 
     dimension: int = FALLBACK_DIMENSION
     kind: str = field(default="deterministic_fallback", init=False)
+    memo: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # "embedded": texts embed_cached had to embed; "hits": texts the memo answered.
+    memo_stats: Counter = field(
+        default_factory=Counter, init=False, repr=False, compare=False
+    )
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         return [self._embed_one(t) for t in texts]
+
+    def embed_cached(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """Like :meth:`embed`, but each distinct text is embedded once per
+        instance.  The vectors are shared, so they are read-only."""
+        memo = self.memo
+        new = [t for t in dict.fromkeys(texts) if t not in memo]
+        for text, vec in zip(new, self.embed(new)):
+            vec.flags.writeable = False
+            memo[text] = vec
+        self.memo_stats["embedded"] += len(new)
+        self.memo_stats["hits"] += len(texts) - len(new)
+        return [memo[t] for t in texts]
 
     def _embed_one(self, text: str) -> np.ndarray:
         if not text or not text.strip():
@@ -163,15 +185,37 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / denom)
 
 
+def _ranked_rows(matrix: np.ndarray, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order by descending similarity, and the similarities.
+
+    Rows and query must be unit vectors, and rows must be in element-id
+    order.  Similarities are rounded to 12 decimals so that mathematically
+    equal cosines compare equal whatever the float summation order; the
+    row index, that is the element id, then breaks the tie.
+    """
+    sims = np.round(matrix @ query_vec, 12)
+    return np.lexsort((np.arange(len(sims)), -sims)), sims
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; zero rows stay zero (similarity 0)."""
+    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
+    return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0.0)
+
+
 def rank_elements(query_vec: np.ndarray, element_vecs: Mapping) -> list[tuple]:
     """Sort elements by descending cosine similarity to the query.
 
-    Ties break on the lexicographic element id, so equal inputs always
-    produce the same ranking.  Returns ``(element, similarity)`` pairs.
+    Similarities are rounded to 12 decimals and ties break on the
+    element id, so equal inputs always produce the same ranking.
+    Returns ``(element, similarity)`` pairs.
     """
-    scored = [(elem, cosine(query_vec, vec)) for elem, vec in element_vecs.items()]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+    elements = sorted(element_vecs)
+    if not elements:
+        return []
+    matrix = _unit_rows(np.stack([np.asarray(element_vecs[e], dtype=np.float64) for e in elements]))
+    order, sims = _ranked_rows(matrix, _unit_rows(np.asarray(query_vec, dtype=np.float64)))
+    return [(elements[i], float(sims[i])) for i in order]
 
 
 @dataclass(frozen=True)
@@ -235,19 +279,17 @@ def rank_graph_elements(g, query: str, provider=None) -> tuple[list[str], list[T
     """Rank a graph's entities and triples against a query text.
 
     Returns ``(ranked_nodes, ranked_edges)`` id lists, most relevant
-    first.  Uses the deterministic fallback embedder unless a provider is
-    given.
+    first, by the rule of :func:`rank_elements`.  Uses a fresh
+    deterministic fallback embedder unless a provider is given; a
+    provider with an ``embed_cached`` method embeds each text once over
+    its lifetime.
     """
     provider = provider or HashedBagEmbedder()
-    nodes = list(g.entity_order)
-    edges = list(g.triples)
-    texts = [query] + [verbalize_element(n) for n in nodes] + [
-        verbalize_element(e) for e in edges
-    ]
-    vectors = provider.embed(texts)
-    qv = vectors[0]
-    node_vecs = dict(zip(nodes, vectors[1 : 1 + len(nodes)]))
-    edge_vecs = dict(zip(edges, vectors[1 + len(nodes) :]))
-    ranked_nodes = [n for n, _ in rank_elements(qv, node_vecs)]
-    ranked_edges = [e for e, _ in rank_elements(qv, edge_vecs)]
-    return ranked_nodes, ranked_edges
+    nodes, edges = g.entity_order, g.triples  # both already in id order
+    texts = [query, *map(verbalize_element, nodes), *map(verbalize_element, edges)]
+    embed = getattr(provider, "embed_cached", provider.embed)
+    vectors = np.stack(embed(texts))
+    query_vec = vectors[0]
+    node_order, _ = _ranked_rows(vectors[1 : 1 + len(nodes)], query_vec)
+    edge_order, _ = _ranked_rows(vectors[1 + len(nodes) :], query_vec)
+    return [nodes[i] for i in node_order], [edges[i] for i in edge_order]

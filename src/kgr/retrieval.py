@@ -389,18 +389,20 @@ def _expand_greedily(g, prizes, nodes: set[str], triples: set[Triple]) -> None:
     endpoint.  The single best candidate is taken per round.
     """
     cost = prizes.edge_cost
+    frontier: set[Triple] = set()  # triples touching ``nodes``, not yet taken
+
+    def touch(v: str) -> None:
+        frontier.update(t for t in (*g.out_index[v], *g.in_index[v]) if t not in triples)
+
+    for v in nodes:
+        touch(v)
     while True:
         best: tuple[float, Triple] | None = None
-        for t in g.triples:
-            if t in triples:
-                continue
-            s_in, o_in = t.subject in nodes, t.object in nodes
-            if not (s_in or o_in):
-                continue
+        for t in frontier:
             marginal = prizes.edge_prize(t) - cost
-            if not s_in:
+            if t.subject not in nodes:
                 marginal += prizes.node_prize(t.subject)
-            if not o_in:
+            if t.object not in nodes:
                 marginal += prizes.node_prize(t.object)
             if marginal <= 0.0:
                 continue
@@ -410,8 +412,11 @@ def _expand_greedily(g, prizes, nodes: set[str], triples: set[Triple]) -> None:
             return
         _, chosen = best
         triples.add(chosen)
-        nodes.add(chosen.subject)
-        nodes.add(chosen.object)
+        frontier.discard(chosen)
+        for v in (chosen.subject, chosen.object):
+            if v not in nodes:
+                nodes.add(v)
+                touch(v)
 
 
 def retrieve_subgraph_pcst(

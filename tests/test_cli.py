@@ -11,6 +11,7 @@ import kgr.cli as cli
 from kgr.cli import main
 from kgr.ingest import parse_triples, read_graph, serialize
 from kgr.perturb import PerturbationSpec, parse_edit_log, perturb, replay_edit_log
+from kgr.relevance import verbalize_element
 from conftest import echo_generation_behavior, random_graph
 
 
@@ -349,7 +350,7 @@ class TestSweep:
         )
 
     def test_grid_outputs(self, graph_file, queries_file, tmp_path):
-        path, _ = graph_file
+        path, g = graph_file
         out_dir = tmp_path / "sweep"
         assert self.run_sweep(path, queries_file, str(out_dir)) == 0
 
@@ -392,6 +393,36 @@ class TestSweep:
         assert len(meta["skipped_edits"]) == 12
         assert meta["skipped_edits"][:6] == [0] * 6
         assert all(isinstance(n, int) and n >= 0 for n in meta["skipped_edits"])
+        # One embedder serves the sweep: each distinct text is embedded once,
+        # every other lookup is a memo hit.  The counters stay out of the
+        # byte-stable outputs.
+        graphs = [g] + [
+            perturb(g, PerturbationSpec(c["method"], c["level"], c["seed"])).graph for c in cells
+        ]
+        distinct, lookups = set(), 0
+        for graph in graphs:
+            for question in ("what links e0 and e3", "tell me about e5"):
+                texts = [question, *map(verbalize_element, (*graph.entity_order, *graph.triples))]
+                distinct.update(texts)
+                lookups += len(texts)
+        assert meta["embedded_texts"] == len(distinct)
+        assert meta["embed_cache_hits"] == lookups - len(distinct)
+        assert "embed" not in (out_dir / "records.jsonl").read_text()
+        assert "embed" not in (out_dir / "curves.csv").read_text()
+
+    def test_embedding_service_is_not_memoized(
+        self, graph_file, queries_file, tmp_path, mock_service
+    ):
+        path, _ = graph_file
+        svc = mock_service(
+            lambda payload: (200, {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]})
+        )
+        out_dir = tmp_path / "sweep"
+        assert self.run_sweep(path, queries_file, str(out_dir), ["--embed-url", svc.url]) == 0
+        meta = json.loads((out_dir / "meta.json").read_text())
+        assert meta["embedded_texts"] is None
+        assert meta["embed_cache_hits"] is None
+        assert svc.calls == 2 + 12 * 2  # every ranking asks the service again
 
     def test_rerun_is_byte_identical(self, graph_file, queries_file, tmp_path):
         path, _ = graph_file

@@ -15,8 +15,6 @@ from kgr.metrics import (
     compare,
     distance_to_similarity,
     fit_baseline_scorer,
-    mean_relation_clustering,
-    mean_relation_degree,
     sc2d,
     sd2,
 )
@@ -136,13 +134,13 @@ def test_mean_relation_vectors_directly():
             ("B", "r2", "C"),
         ]
     )
-    np.testing.assert_allclose(mean_relation_clustering(g), [0.5, 0.5, 0.5])
+    np.testing.assert_allclose(g.mean_relation_clustering, [0.5, 0.5, 0.5])
     # Degrees: A and C carry 2+1 endpoints, B carries 2+2, over 2 relations.
-    np.testing.assert_allclose(mean_relation_degree(g), [1.5, 2.0, 1.5])
+    np.testing.assert_allclose(g.mean_relation_degree, [1.5, 2.0, 1.5])
 
 
 def reference_mean_relation_clustering(g):
-    """The per-relation subgraph loop that mean_relation_clustering replaces."""
+    """The per-relation subgraph loop that KnowledgeGraph.mean_relation_clustering replaces."""
     order = g.entity_order
     acc = np.zeros(len(order), dtype=np.float64)
     relations = sorted(g.relations)
@@ -185,10 +183,26 @@ def test_mean_relation_vectors_match_reference_loops_bit_for_bit():
         len({(t.subject, t.object) for t in g.triples}) < len(g.triples) for g in graphs
     )
     assert any(g.relations - {t.relation for t in g.triples} for g in graphs)
-    assert any(mean_relation_clustering(g).any() for g in graphs)
+    assert any(g.mean_relation_clustering.any() for g in graphs)
     for g in graphs:
-        assert np.array_equal(mean_relation_clustering(g), reference_mean_relation_clustering(g))
-        assert np.array_equal(mean_relation_degree(g), reference_mean_relation_degree(g))
+        assert np.array_equal(g.mean_relation_clustering, reference_mean_relation_clustering(g))
+        assert np.array_equal(g.mean_relation_degree, reference_mean_relation_degree(g))
+
+
+def test_relation_vectors_are_cached_per_graph_and_read_only():
+    g = random_graph(random.Random(5), 12, 30)
+    for name in ("mean_relation_clustering", "mean_relation_degree"):
+        first = getattr(g, name)
+        assert getattr(g, name) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+    # Comparing many perturbed graphs with one original reuses its vectors
+    # and gives the same report as a fresh copy of the original.
+    for method in METHODS:
+        pg = perturb(g, PerturbationSpec(method, 0.3, 11)).graph
+        fresh = KnowledgeGraph.from_triples(g.triples, extra_entities=g.entities)
+        assert compare(g, pg) == compare(fresh, pg)
 
 
 def test_mean_relation_clustering_matches_networkx():
@@ -206,13 +220,13 @@ def test_mean_relation_clustering_matches_networkx():
             expected += np.array([clustering[v] for v in g.entity_order])
         if g.relations:
             expected /= len(g.relations)
-        np.testing.assert_allclose(mean_relation_clustering(g), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.mean_relation_clustering, expected, rtol=0, atol=1e-12)
 
 
 def test_zero_relation_graph_gives_zero_vectors():
     g = KnowledgeGraph.from_triples([], extra_entities=["a", "b"])
-    np.testing.assert_array_equal(mean_relation_clustering(g), [0.0, 0.0])
-    np.testing.assert_array_equal(mean_relation_degree(g), [0.0, 0.0])
+    np.testing.assert_array_equal(g.mean_relation_clustering, [0.0, 0.0])
+    np.testing.assert_array_equal(g.mean_relation_degree, [0.0, 0.0])
     assert sd2(g, g) == 1.0
 
 

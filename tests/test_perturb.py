@@ -255,11 +255,22 @@ def test_replay_reproduces_perturbed_graph():
                 assert replay_edit_log(g, result.edit_log) == result.graph
 
 
+def test_relation_replace_without_edits_fits_no_scorer():
+    # The default scorer cannot be fitted on a graph without triples, so
+    # it is fitted only once there is an edge to replace.
+    empty = KnowledgeGraph.from_triples([], extra_entities=["a", "b"])
+    for level in (0.0, 1.0):
+        pg = perturb(empty, PerturbationSpec("relation_replace", level, 5))
+        assert pg.graph == empty
+        assert pg.edit_log == ()
+    g = fixture_graph(seed=7)
+    assert perturb(g, PerturbationSpec("rr", 0.0, 5)).graph == g
+
+
 triples_strategy = st.lists(
     st.tuples(
         st.sampled_from("abcdef"), st.sampled_from(["r1", "r2", "r3"]), st.sampled_from("abcdef")
     ),
-    min_size=1,  # relation_replace's default scorer rejects an empty graph
     max_size=30,
 )
 

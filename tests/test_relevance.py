@@ -185,3 +185,102 @@ def test_service_embedder_exhausts_attempts(mock_service):
         emb.embed(["a"])
     assert exc_info.value.attempts == 3
     assert svc.calls == 3
+
+
+def reference_ranking(elements, query_vec, vectors):
+    """The documented rule, one element at a time: cosine rounded to 12
+    decimals, descending, ties by element id."""
+    sims = {e: round(cosine(query_vec, v), 12) for e, v in zip(elements, vectors)}
+    return sorted(elements, key=lambda e: (-sims[e], e))
+
+
+def reference_rank_graph_elements(g, query):
+    emb = HashedBagEmbedder()
+    query_vec = emb.embed([query])[0]
+    nodes, edges = list(g.entity_order), list(g.triples)
+    node_vecs = emb.embed([verbalize_element(n) for n in nodes])
+    edge_vecs = emb.embed([verbalize_element(e) for e in edges])
+    return (
+        reference_ranking(nodes, query_vec, node_vecs),
+        reference_ranking(edges, query_vec, edge_vecs),
+    )
+
+
+WORDS = ["royal", "meadow", "golden", "canyon", "coastal", "temple", "lunar", "river", "iron"]
+
+
+def test_rank_graph_elements_matches_reference_rule():
+    rng = random.Random(2402)
+    shared = HashedBagEmbedder()
+    for _ in range(40):
+        names = [
+            f"{rng.choice(WORDS)}_{rng.choice(WORDS)}_{rng.randint(0, 9)}" for _ in range(12)
+        ]
+        relations = ["founded_in", "named_by", "built_by", "near"]
+        triples = [
+            (rng.choice(names), rng.choice(relations), rng.choice(names)) for _ in range(30)
+        ]
+        g = KnowledgeGraph.from_triples(triples)
+        query = " ".join(rng.sample(WORDS + ["built", "by", "what"], 5))
+        expected = reference_rank_graph_elements(g, query)
+        assert rank_graph_elements(g, query) == expected
+        assert rank_graph_elements(g, query, shared) == expected
+        query_vec = shared.embed([query])[0]
+        edge_vecs = {t: shared.embed([verbalize_element(t)])[0] for t in g.triples}
+        assert [t for t, _ in rank_elements(query_vec, edge_vecs)] == expected[1]
+
+
+def test_equal_cosines_rank_by_id():
+    # Both triples score 1/sqrt(18) against this question; the float sums
+    # differ in the last bit, and the smaller id must still rank first.
+    query = "tell me what royal meadow 1090 was built by"
+    a = Triple("golden_meadow_4888", "founded_in", "royal_canyon_7264")
+    b = Triple("coastal_temple_2814", "named_by", "lunar_river_3250")
+    q, va, vb = HashedBagEmbedder().embed([query, verbalize_element(a), verbalize_element(b)])
+    assert cosine(q, va) != cosine(q, vb)
+    assert round(cosine(q, va), 12) == round(cosine(q, vb), 12) == round(1 / math.sqrt(18), 12)
+    g = KnowledgeGraph.from_triples([a, b])
+    _, edges = rank_graph_elements(g, query)
+    assert edges == [b, a] == reference_rank_graph_elements(g, query)[1]
+    ranked = rank_elements(q, {a: va, b: vb})
+    assert [e for e, _ in ranked] == [b, a]
+    assert ranked[0][1] == ranked[1][1]
+
+
+def test_rank_elements_is_cosine_on_unnormalized_vectors():
+    q = np.array([3.0, 4.0])
+    ranked = rank_elements(q, {"far": np.array([0.0, -2.0]), "near": np.array([6.0, 8.0]),
+                               "zero": np.zeros(2)})
+    assert ranked == [("near", 1.0), ("zero", 0.0), ("far", -0.8)]
+    assert rank_elements(q, {}) == []
+
+
+def test_embed_cached_matches_fresh_and_is_read_only():
+    emb = HashedBagEmbedder()
+    texts = ["alpha beta", "gamma", "alpha beta", "delta"]
+    cached = emb.embed_cached(texts)
+    fresh = HashedBagEmbedder().embed(texts)
+    assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
+    assert emb.memo_stats == {"embedded": 3, "hits": 1}
+    again = emb.embed_cached(["gamma", "epsilon"])
+    assert again[0] is cached[1]
+    assert emb.memo_stats == {"embedded": 4, "hits": 2}
+    for vec in cached + again:
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+    # The memo is per instance and does not take part in equality.
+    assert emb == HashedBagEmbedder()
+    assert not HashedBagEmbedder().memo
+
+
+def test_rank_graph_elements_with_embed_only_provider():
+    class PlainProvider:
+        def embed(self, texts):
+            return HashedBagEmbedder().embed(texts)
+
+    g = KnowledgeGraph.from_triples(
+        [("solar_panel", "generates", "electricity"), ("coal_plant", "burns", "coal")]
+    )
+    question = "how do solar panels make electricity"
+    assert rank_graph_elements(g, question, PlainProvider()) == rank_graph_elements(g, question)

@@ -10,6 +10,7 @@ from kgr.graph import KnowledgeGraph, Triple
 from kgr.relevance import PrizeAssignment
 from kgr.retrieval import (
     RetrievedKnowledge,
+    _expand_greedily,
     ScoredPath,
     ScoredSubgraph,
     brute_force_best_path,
@@ -296,3 +297,39 @@ def test_pcst_enters_components_the_top_roots_miss():
     assert brute_force_best_subgraph(g, prizes).score == 8.0
     assert got.score == 8.0
     assert got.subgraph.entities == {"e1", "e4", "e6", "e8"}
+
+
+def full_scan_expand(g, prizes, nodes, triples):
+    """The greedy attachment that scans every triple in every round."""
+    while True:
+        best = None
+        for t in g.triples:
+            if t in triples or not (t.subject in nodes or t.object in nodes):
+                continue
+            marginal = prizes.edge_prize(t) - prizes.edge_cost
+            if t.subject not in nodes:
+                marginal += prizes.node_prize(t.subject)
+            if t.object not in nodes:
+                marginal += prizes.node_prize(t.object)
+            if marginal > 0.0 and (best is None or (-marginal, t) < (-best[0], best[1])):
+                best = (marginal, t)
+        if best is None:
+            return
+        triples.add(best[1])
+        nodes.update((best[1].subject, best[1].object))
+
+
+def test_greedy_expansion_matches_full_scan():
+    rng = random.Random(3090)
+    grown = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(2, 15), rng.randint(1, 40), allow_self_loops=True)
+        prizes = random_prizes(rng, g, cost=rng.choice([0.5, 1.0, 2.0]))
+        start = set(rng.sample(g.triples, rng.randint(0, min(3, len(g.triples)))))
+        nodes = {v for t in start for v in (t.subject, t.object)} or {rng.choice(g.entity_order)}
+        expected_nodes, expected_triples = set(nodes), set(start)
+        full_scan_expand(g, prizes, expected_nodes, expected_triples)
+        _expand_greedily(g, prizes, nodes, start)
+        assert (nodes, start) == (expected_nodes, expected_triples)
+        grown += len(start) > 3
+    assert grown > 20
