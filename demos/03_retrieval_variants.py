@@ -40,9 +40,9 @@ triplets = retrieve(g, prizes, variant="triplets", n=4)
 print("\n-- triplets --")
 print(render_knowledge(triplets))
 
-# Variant 2: high-value simple paths (prizes collected minus edge costs),
-# found by best-first expansion from the highest-prize start nodes.
-paths = retrieve(g, prizes, variant="paths", result_count=3)
+# Variant 2: enumerated paths, best n kept: every simple path from the
+# highest-prize start nodes, scored by prizes collected minus edge costs.
+paths = retrieve(g, prizes, variant="paths", n=3)
 print("\n-- paths --")
 print(render_knowledge(paths))
 

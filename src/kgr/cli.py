@@ -80,12 +80,6 @@ from .transport import DEFAULT_BACKOFF, DEFAULT_MAX_ATTEMPTS, DEFAULT_TIMEOUT, T
 logger = logging.getLogger(__name__)
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -118,19 +112,19 @@ def _config_defaults(path: str, command: str) -> dict:
     as they are and null keys are left out.
     """
     if not os.path.isfile(path):
-        raise CliError(2, f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
-            raise CliError(2, f"config file is not valid YAML: {exc}")
+            raise ValueError(f"config file is not valid YAML: {exc}")
     if cfg is None:
         return {}
     if not isinstance(cfg, dict):
-        raise CliError(2, "config file must hold a mapping at the top level")
+        raise ValueError("config file must hold a mapping at the top level")
     section = cfg.get(command, {})
     if not isinstance(section, dict):
-        raise CliError(2, f"config section {command!r} must be a mapping")
+        raise ValueError(f"config section {command!r} must be a mapping")
     merged = {k: v for k, v in cfg.items() if not isinstance(v, dict)}
     merged.update(section)
     merged.pop("command", None)  # the subcommand comes from the command line only
@@ -146,13 +140,13 @@ def _config_defaults(path: str, command: str) -> dict:
 def _need(args: argparse.Namespace, key: str):
     value = getattr(args, key)
     if value is None:
-        raise CliError(2, f"missing required option --{key.replace('_', '-')}")
+        raise ValueError(f"missing required option --{key.replace('_', '-')}")
     return value
 
 
 def _require_file(path: str, what: str) -> str:
     if not os.path.isfile(path):
-        raise CliError(2, f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
     return path
 
 
@@ -161,7 +155,7 @@ def _read_graph_checked(path: str, fmt: str) -> KnowledgeGraph:
     try:
         return read_graph(path, fmt)
     except ParseError as exc:
-        raise CliError(2, f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}")
 
 
 def _load_queries(path: str) -> list[dict]:
@@ -175,26 +169,26 @@ def _load_queries(path: str) -> list[dict]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CliError(2, f"{path}:{lineno}: not valid JSON: {exc}")
+                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}")
             if not isinstance(rec, dict):
-                raise CliError(2, f"{path}:{lineno}: each query must be a JSON object")
+                raise ValueError(f"{path}:{lineno}: each query must be a JSON object")
             qid = rec.get("id")
             question = rec.get("question")
             if not isinstance(qid, str) or not qid:
-                raise CliError(2, f"{path}:{lineno}: missing string field 'id'")
+                raise ValueError(f"{path}:{lineno}: missing string field 'id'")
             if qid in seen_ids:
-                raise CliError(2, f"{path}:{lineno}: duplicate query id {qid!r}")
+                raise ValueError(f"{path}:{lineno}: duplicate query id {qid!r}")
             seen_ids.add(qid)
             if not isinstance(question, str) or not question.strip():
-                raise CliError(2, f"{path}:{lineno}: missing string field 'question'")
+                raise ValueError(f"{path}:{lineno}: missing string field 'question'")
             seeds = rec.get("seeds", [])
             if not isinstance(seeds, list) or any(
                 not isinstance(s, str) or not s for s in seeds
             ):
-                raise CliError(2, f"{path}:{lineno}: 'seeds' must be a list of ids")
+                raise ValueError(f"{path}:{lineno}: 'seeds' must be a list of ids")
             queries.append({"id": qid, "question": question, "seeds": seeds})
     if not queries:
-        raise CliError(2, f"{path}: no queries found")
+        raise ValueError(f"{path}: no queries found")
     return queries
 
 
@@ -219,7 +213,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     if args.hops < 0:
-        raise CliError(2, "hops must be >= 0")
+        raise ValueError("hops must be >= 0")
     config = PprConfig(
         alpha=args.alpha,
         tol=args.tol,
@@ -228,17 +222,17 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     )
     g = _read_graph_checked(_need(args, "graph"), args.format)
     if (args.seeds is None) == (args.queries is None):
-        raise CliError(2, "provide exactly one of --seeds or --queries")
+        raise ValueError("provide exactly one of --seeds or --queries")
 
     def run(seeds: list[str]) -> KnowledgeGraph:
         try:
             return extract_and_prune(g, seeds, args.hops, config, args.undirected)
         except EntityNotFoundError as exc:
-            raise CliError(2, f"seed entity not in graph: {exc.args[0]}")
+            raise ValueError(f"seed entity not in graph: {exc.args[0]}")
 
     if args.seeds is not None:
         if not args.seeds:
-            raise CliError(2, "at least one seed is required")
+            raise ValueError("at least one seed is required")
         _emit(serialize(run(args.seeds)), args.out)
         return 0
 
@@ -247,7 +241,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     results = []
     for q in queries:
         if not q["seeds"]:
-            raise CliError(2, f"query {q['id']!r} has no seeds")
+            raise ValueError(f"query {q['id']!r} has no seeds")
         results.append((q["id"], run(q["seeds"])))
     for qid, sub in results:
         _atomic_write(os.path.join(out_dir, f"{qid}.tsv"), serialize(sub))
@@ -264,7 +258,6 @@ def _retrieve_one(g: KnowledgeGraph, question: str, provider, args: argparse.Nam
         n=args.n,
         start_count=args.start_count,
         max_len=args.max_len,
-        result_count=args.result_count,
         directed_only=args.directed_only,
     )
 
@@ -272,7 +265,7 @@ def _retrieve_one(g: KnowledgeGraph, question: str, provider, args: argparse.Nam
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     queries = _load_queries(_need(args, "queries"))
     if (args.graph is None) == (args.graph_dir is None):
-        raise CliError(2, "provide exactly one of --graph or --graph-dir")
+        raise ValueError("provide exactly one of --graph or --graph-dir")
     provider = _embedder(args)
 
     shared = _read_graph_checked(args.graph, args.format) if args.graph else None
@@ -315,22 +308,20 @@ def _aligned_perturbed(g: KnowledgeGraph, gp: KnowledgeGraph) -> KnowledgeGraph:
         return gp
     if not gp.entities <= g.entities:
         extra = sorted(gp.entities - g.entities)[:3]
-        raise CliError(
-            2, f"perturbed graph has entities unknown to the original, e.g. {extra}"
-        )
+        raise ValueError(f"perturbed graph has entities unknown to the original, e.g. {extra}")
     return KnowledgeGraph.from_triples(gp.triples, extra_entities=g.entities)
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
     g = _read_graph_checked(_need(args, "graph"), args.format)
     if not g.triples:
-        raise CliError(2, "original graph has no triples; nothing to score against")
+        raise ValueError("original graph has no triples; nothing to score against")
     method, level, seed = args.method, args.level, args.seed
     if args.perturbed:
         gp = _aligned_perturbed(g, _read_graph_checked(args.perturbed, args.format))
     else:
         if method is None or level is None:
-            raise CliError(2, "without --perturbed, both --method and --level are required")
+            raise ValueError("without --perturbed, both --method and --level are required")
         spec = PerturbationSpec(method=method, level=level, seed=seed)
         gp = perturb(g, spec).graph
         method, level, seed = spec.method, spec.level, spec.seed
@@ -359,17 +350,17 @@ def _jaccard(a: set, b: set) -> float:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     g = _read_graph_checked(_need(args, "graph"), args.format)
     if not g.triples:
-        raise CliError(2, "graph has no triples; nothing to perturb")
+        raise ValueError("graph has no triples; nothing to perturb")
     queries = _load_queries(_need(args, "queries"))
     out_dir = _need(args, "out")
     methods, levels = args.methods, args.levels
     if not methods or not levels:
-        raise CliError(2, "methods and levels must be non-empty")
+        raise ValueError("methods and levels must be non-empty")
     for lvl in levels:
         if not 0.0 <= lvl <= 1.0:
-            raise CliError(2, f"level {lvl} outside [0, 1]")
+            raise ValueError(f"level {lvl} outside [0, 1]")
     if args.num_seeds < 1:
-        raise CliError(2, "num_seeds must be >= 1")
+        raise ValueError("num_seeds must be >= 1")
     provider = _embedder(args)
 
     started = time.perf_counter()
@@ -474,12 +465,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     retrieved_path = _require_file(_need(args, "retrieved"), "retrieved file")
     url = args.gen_url or os.environ.get(GEN_URL_ENV)
     if not url:
-        raise CliError(2, f"generation endpoint required (--gen-url or {GEN_URL_ENV})")
+        raise ValueError(f"generation endpoint required (--gen-url or {GEN_URL_ENV})")
     token = args.gen_token or os.environ.get(GEN_TOKEN_ENV) or None
 
     system_path, body_path = args.template_system, args.template_body
     if (system_path is None) != (body_path is None):
-        raise CliError(2, "--template-system and --template-body go together")
+        raise ValueError("--template-system and --template-body go together")
     if system_path:
         _require_file(system_path, "template system file")
         _require_file(body_path, "template body file")
@@ -495,18 +486,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CliError(2, f"{retrieved_path}:{lineno}: not valid JSON: {exc}")
+                raise ValueError(f"{retrieved_path}:{lineno}: not valid JSON: {exc}")
             if rec.get("record_type") == "header":
                 continue
             try:
                 knowledge = retrieved_from_json_dict(rec)
             except (KeyError, ValueError, TypeError) as exc:
-                raise CliError(2, f"{retrieved_path}:{lineno}: bad record: {exc}")
+                raise ValueError(f"{retrieved_path}:{lineno}: bad record: {exc}")
             records.append(
                 (rec.get("id", f"line{lineno}"), rec.get("question", ""), knowledge)
             )
     if not records:
-        raise CliError(2, f"{retrieved_path}: no retrieval records found")
+        raise ValueError(f"{retrieved_path}: no retrieval records found")
 
     client = GenerationClient(
         url=url,
@@ -608,14 +599,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     retrieval.add_argument(
         "--edge-cost", type=float, default=1.0, help="uniform edge cost (default %(default)s)"
     )
-    retrieval.add_argument("--n", type=int, help="triplet count (default k)")
+    retrieval.add_argument("--n", type=int, help="triplets or paths returned (default k)")
     retrieval.add_argument(
         "--start-count", type=int, default=5, help="path start nodes (default %(default)s)"
     )
     retrieval.add_argument(
         "--max-len", type=int, default=4, help="path length cap in edges (default %(default)s)"
     )
-    retrieval.add_argument("--result-count", type=int, help="paths returned (default k)")
     retrieval.add_argument(
         "--directed-only", action="store_true", help="paths follow edge direction only"
     )
@@ -736,13 +726,10 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, action.dest, None)
             if action.choices is not None and value not in action.choices:
                 allowed = ", ".join(map(str, action.choices))
-                raise CliError(2, f"config value {action.dest}={value!r} is not one of {allowed}")
+                raise ValueError(f"config value {action.dest}={value!r} is not one of {allowed}")
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 4

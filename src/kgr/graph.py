@@ -89,14 +89,6 @@ class KnowledgeGraph:
             f"|R|={len(self.relations)}, |T|={len(self.triples)})"
         )
 
-    @property
-    def num_entities(self) -> int:
-        return len(self.entities)
-
-    @property
-    def num_triples(self) -> int:
-        return len(self.triples)
-
     @cached_property
     def entity_order(self) -> tuple[str, ...]:
         """Entities in stable lexicographic order (index space for vectors)."""

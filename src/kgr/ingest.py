@@ -109,11 +109,6 @@ def read_graph(path: str, fmt: str = FORMAT_TSV) -> KnowledgeGraph:
         return parse_triples(fh, fmt)
 
 
-def write_graph(path: str, g: KnowledgeGraph) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize(g))
-
-
 @dataclass(frozen=True)
 class SubgraphRequest:
     """Seed entities plus a hop budget for neighborhood extraction."""

@@ -16,7 +16,7 @@ set; the L2 distance d between the two means is mapped through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -43,7 +43,6 @@ class BaselineEdgeScorer:
     triples: frozenset
     out_freq: dict
     in_freq: dict
-    kind: str = field(default="baseline_frequency", init=False)
 
     def score(self, subject: str, relation: str, object_id: str) -> float:
         if (subject, relation, object_id) in self.triples:

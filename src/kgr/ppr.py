@@ -9,6 +9,7 @@ personalization vector s each step, so the scores always sum to one.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,6 +17,8 @@ import numpy as np
 from scipy import sparse
 
 from .graph import EntityNotFoundError, KnowledgeGraph
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -146,9 +149,19 @@ def extract_and_prune(
     config: PprConfig = PprConfig(),
     undirected: bool = False,
 ) -> KnowledgeGraph:
-    """K-hop extraction around ``seeds`` followed by PPR pruning."""
+    """K-hop extraction around ``seeds`` followed by PPR pruning.
+
+    Logs a warning when PPR stops at ``config.max_iter`` unconverged; the
+    pruning then uses the last iterate.
+    """
     from .ingest import SubgraphRequest, khop_subgraph
 
     neighborhood = khop_subgraph(g, SubgraphRequest(tuple(seeds), hops))
     ranked = personalized_pagerank(neighborhood, list(seeds), config, undirected)
+    if not ranked.converged:
+        logger.warning(
+            "PPR did not converge in %d iterations (tol %g); pruning on the last iterate",
+            ranked.iterations_used,
+            config.tol,
+        )
     return prune_by_ppr(neighborhood, ranked, config.prune_threshold)

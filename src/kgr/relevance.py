@@ -80,7 +80,6 @@ class HashedBagEmbedder:
     """
 
     dimension: int = FALLBACK_DIMENSION
-    kind: str = field(default="deterministic_fallback", init=False)
     memo: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -136,7 +135,6 @@ class ServiceEmbedder:
     timeout: float = DEFAULT_TIMEOUT
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     backoff: float = DEFAULT_BACKOFF
-    kind: str = field(default="external_service", init=False)
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         for t in texts:

@@ -3,8 +3,9 @@
 All three variants consume one :class:`~kgr.relevance.PrizeAssignment`:
 
 * ``triplets``  -- top-n triples by summed node+edge prize.
-* ``paths``     -- best-first expansion from high-prize start nodes; a
-  path is worth its node prizes plus edge prizes minus edge costs.
+* ``paths``     -- enumerated paths, best n kept: every simple path from
+  the high-prize start nodes is walked and the top n by score are kept;
+  a path is worth its node prizes plus edge prizes minus edge costs.
 * ``subgraph``  -- a prize-collecting Steiner-style heuristic that folds
   edge prizes into reduced costs and prunes unprofitable branches.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import KnowledgeGraph, Triple
 from .relevance import PrizeAssignment
@@ -28,6 +29,7 @@ VARIANT_SUBGRAPH = "subgraph"
 VARIANTS = (VARIANT_TRIPLETS, VARIANT_PATHS, VARIANT_SUBGRAPH)
 
 _ORACLE_NODE_LIMIT = 10
+_ROOT_COUNT = 3  # top prize carriers every PCST call grows trees from
 
 
 @dataclass(frozen=True)
@@ -120,13 +122,15 @@ def _triple_score(t: Triple, prizes: PrizeAssignment) -> float:
 
 
 def retrieve_triplets(
-    g: KnowledgeGraph, prizes: PrizeAssignment, n: int = 15
+    g: KnowledgeGraph, prizes: PrizeAssignment, n: int | None = None
 ) -> RetrievedKnowledge:
-    """Top-``n`` triples by subject + object + edge prize.
+    """Top-``n`` triples by subject + object + edge prize (default ``prizes.k``).
 
     Ties break on the lexicographic triple, so results are deterministic.
     An empty graph yields an empty result.
     """
+    if n is None:
+        n = prizes.k
     if n < 1:
         raise ValueError("n must be >= 1")
     scored = sorted(
@@ -160,13 +164,14 @@ def retrieve_paths(
     result_count: int | None = None,
     directed_only: bool = False,
 ) -> list[ScoredPath]:
-    """Best-first path search from the ``start_count`` highest-prize nodes.
+    """The ``result_count`` best simple paths (default ``prizes.k``) from
+    the ``start_count`` highest-prize nodes.
 
-    Every generated simple path (node revisits forbidden, at most
-    ``max_len`` edges) is collected; the ``result_count`` best by score
-    are returned, ties broken on the node sequence.  Traversal ignores
-    edge direction unless ``directed_only`` is set.  The path score is
-    the sum of node prizes plus edge prizes minus edge costs along it.
+    Every simple path (node revisits forbidden, at most ``max_len``
+    edges) is enumerated and the best by score are kept, ties broken on
+    the node then edge sequence.  Traversal ignores edge direction unless
+    ``directed_only`` is set.  The path score is the sum of node prizes
+    plus edge prizes minus edge costs along it.
     """
     if start_count < 1:
         raise ValueError("start_count must be >= 1")
@@ -176,43 +181,29 @@ def retrieve_paths(
         result_count = prizes.k
     if result_count < 1:
         raise ValueError("result_count must be >= 1")
-    if not g.entities:
-        return []
 
-    starts = sorted(g.entity_order, key=lambda v: (-prizes.node_prize(v), v))
-    starts = starts[:start_count]
+    starts = sorted(g.entity_order, key=lambda v: (-prizes.node_prize(v), v))[:start_count]
     cost = prizes.edge_cost
 
-    collected: list[tuple[float, tuple[str, ...], tuple[Triple, ...]]] = []
-    heap: list[tuple[float, int, tuple[str, ...], tuple[Triple, ...], frozenset[str]]] = []
-    counter = itertools.count()
-    for v in starts:
-        score = prizes.node_prize(v)
-        collected.append((score, (v,), ()))
-        heapq.heappush(heap, (-score, next(counter), (v,), (), frozenset((v,))))
-
-    while heap:
-        neg_score, _, nodes, edges, visited = heapq.heappop(heap)
-        score = -neg_score
-        if len(edges) >= max_len:
-            continue
-        tail = nodes[-1]
-        for t, nxt in _incident(g, tail, directed_only):
-            if nxt in visited:
+    def simple_paths():
+        # Depth-first with an explicit stack: ``max_len`` is not bounded by
+        # the recursion limit, and the stack holds only the untried
+        # extensions of the current path.
+        stack = [(prizes.node_prize(v), (v,), ()) for v in starts]
+        while stack:
+            path = stack.pop()
+            yield path
+            score, nodes, edges = path
+            if len(edges) >= max_len:
                 continue
-            nscore = score + prizes.node_prize(nxt) + prizes.edge_prize(t) - cost
-            nnodes = nodes + (nxt,)
-            nedges = edges + (t,)
-            collected.append((nscore, nnodes, nedges))
-            heapq.heappush(
-                heap, (-nscore, next(counter), nnodes, nedges, visited | {nxt})
-            )
+            for t, nxt in _incident(g, nodes[-1], directed_only):
+                if nxt not in nodes:
+                    nscore = score + prizes.node_prize(nxt) + prizes.edge_prize(t) - cost
+                    stack.append((nscore, nodes + (nxt,), edges + (t,)))
 
-    collected.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return [
-        ScoredPath(nodes=nodes, edges=edges, score=score)
-        for score, nodes, edges in collected[:result_count]
-    ]
+    # The key is a total order, so the result does not depend on the walk order.
+    best = heapq.nsmallest(result_count, simple_paths(), key=lambda p: (-p[0], p[1], p[2]))
+    return [ScoredPath(nodes=nodes, edges=edges, score=score) for score, nodes, edges in best]
 
 
 def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
@@ -419,13 +410,11 @@ def _expand_greedily(g, prizes, nodes: set[str], triples: set[Triple]) -> None:
                 touch(v)
 
 
-def retrieve_subgraph_pcst(
-    g: KnowledgeGraph, prizes: PrizeAssignment, root_count: int = 3
-) -> ScoredSubgraph:
+def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> ScoredSubgraph:
     """One connected subgraph maximizing collected prizes minus edge costs.
 
     Heuristic: fold each edge prize into a reduced cost (surplus becomes
-    a zero-cost virtual node); from each of the top ``root_count`` prize
+    a zero-cost virtual node); from each of the top ``_ROOT_COUNT`` prize
     carriers, and from the best carrier of every component those trees
     miss, grow two spanning trees (prize-chasing and cheapest-edge),
     keep each tree's best net-positive subtree, greedily attach any
@@ -456,7 +445,7 @@ def retrieve_subgraph_pcst(
     for i, root in enumerate(prized):
         # Past the top roots, grow only from the best carrier of each
         # component no tree has entered yet (a tree spans its component).
-        if i >= root_count and root in reached:
+        if i >= _ROOT_COUNT and root in reached:
             continue
         for greedy_prizes in (True, False):
             parent = _grow_tree(adjacency, prize_of, root, greedy_prizes)
@@ -482,16 +471,17 @@ def retrieve(
     n: int | None = None,
     start_count: int = 5,
     max_len: int = 4,
-    result_count: int | None = None,
     directed_only: bool = False,
 ) -> RetrievedKnowledge:
-    """Run one retrieval variant and wrap the result uniformly."""
+    """Run one retrieval variant and wrap the result uniformly.
+
+    ``n`` counts the triplets or paths returned (default ``prizes.k``);
+    the subgraph variant returns one subgraph.
+    """
     if variant == VARIANT_TRIPLETS:
-        return retrieve_triplets(g, prizes, n if n is not None else prizes.k)
+        return retrieve_triplets(g, prizes, n)
     if variant == VARIANT_PATHS:
-        paths = retrieve_paths(
-            g, prizes, start_count, max_len, result_count, directed_only
-        )
+        paths = retrieve_paths(g, prizes, start_count, max_len, n, directed_only)
         return RetrievedKnowledge(
             variant=VARIANT_PATHS,
             prize_k=prizes.k,

@@ -193,6 +193,14 @@ class TestRetrieve:
         ]
         assert main(args) == 2
 
+    def test_n_counts_paths(self, graph_file, queries_file, tmp_path):
+        path, _ = graph_file
+        out = tmp_path / "paths.jsonl"
+        args = ["retrieve", "--graph", path, "--queries", queries_file, "--variant", "paths"]
+        assert main([*args, "--n", "2", "--out", str(out)]) == 0
+        assert [len(r["items"]) for r in read_jsonl(out)] == [2, 2]
+        assert main([*args, "--result-count", "2"]) == 2
+
     def test_duplicate_query_ids_rejected(self, graph_file, tmp_path):
         path, _ = graph_file
         queries = tmp_path / "dup.jsonl"

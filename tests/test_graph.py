@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from kgr.graph import (
@@ -213,3 +214,21 @@ def test_stats_match_independent_recount():
     assert stats.density == pytest.approx(len(directed) / (n * (n - 1)))
     assert 0.0 <= stats.density <= 1.0
     assert 0.0 <= stats.clustering_coefficient <= 1.0
+
+
+def test_stats_match_networkx():
+    # Clustering on the simple undirected projection, isolated nodes
+    # counted as 0; density on the simple directed projection.
+    rng = random.Random(4127)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 14), rng.randint(0, 40), allow_self_loops=True)
+        pairs = [(s, o) for s, _, o in g.triples if s != o]
+        undirected, directed = nx.Graph(), nx.DiGraph()
+        for simple in (undirected, directed):
+            simple.add_nodes_from(g.entities)
+            simple.add_edges_from(pairs)
+        stats = graph_stats(g)
+        assert stats.clustering_coefficient == pytest.approx(
+            nx.average_clustering(undirected), abs=1e-12
+        )
+        assert stats.density == pytest.approx(nx.density(directed), abs=1e-12)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 
 import networkx as nx
@@ -155,6 +156,19 @@ def test_extract_and_prune_keeps_relevant_region():
     sub = extract_and_prune(g, ["L0"], hops=2)
     assert sub.entities <= {f"L{i}" for i in range(5)}
     assert "L0" in sub.entities
+
+
+def test_extract_and_prune_warns_when_ppr_does_not_converge(caplog):
+    g = KnowledgeGraph.from_triples([(f"L{i}", "r", f"L{i+1}") for i in range(4)])
+    with caplog.at_level(logging.WARNING, logger="kgr.ppr"):
+        capped = extract_and_prune(g, ["L0"], hops=2, config=PprConfig(max_iter=1))
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "did not converge in 1 iterations" in caplog.text
+    assert "L0" in capped.entities
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="kgr.ppr"):
+        extract_and_prune(g, ["L0"], hops=2)
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("undirected", [False, True])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -93,6 +96,12 @@ def test_triplets_n_larger_than_graph():
     assert len(result.triplets) == 2
 
 
+def test_triplets_default_n_is_prize_k():
+    g = KnowledgeGraph.from_triples([(f"a{i}", "r", f"b{i}") for i in range(20)])
+    assert len(retrieve_triplets(g, prizes_of(k=3)).triplets) == 3
+    assert len(retrieve_triplets(g, prizes_of(k=17)).triplets) == 17
+
+
 def test_paths_respect_max_len_and_simplicity():
     rng = random.Random(67)
     for _ in range(15):
@@ -152,6 +161,78 @@ def test_paths_deterministic():
     a = retrieve_paths(g, prizes, result_count=10)
     b = retrieve_paths(g, prizes, result_count=10)
     assert a == b
+
+
+def heap_and_collect_paths(g, prizes, start_count, max_len, result_count, directed_only):
+    """The best-first search that keeps a heap of partial paths, each with
+    its visited set, and a list of every path found."""
+    starts = sorted(g.entity_order, key=lambda v: (-prizes.node_prize(v), v))[:start_count]
+    cost = prizes.edge_cost
+    collected, heap, counter = [], [], itertools.count()
+    for v in starts:
+        score = prizes.node_prize(v)
+        collected.append((score, (v,), ()))
+        heapq.heappush(heap, (-score, next(counter), (v,), (), frozenset((v,))))
+    while heap:
+        neg_score, _, nodes, edges, visited = heapq.heappop(heap)
+        score = -neg_score
+        if len(edges) >= max_len:
+            continue
+        incident = [(t, t.object) for t in g.out_index[nodes[-1]]]
+        if not directed_only:
+            incident += [(t, t.subject) for t in g.in_index[nodes[-1]]]
+        for t, nxt in incident:
+            if nxt in visited:
+                continue
+            nscore = score + prizes.node_prize(nxt) + prizes.edge_prize(t) - cost
+            collected.append((nscore, nodes + (nxt,), edges + (t,)))
+            heapq.heappush(
+                heap, (-nscore, next(counter), nodes + (nxt,), edges + (t,), visited | {nxt})
+            )
+    collected.sort(key=lambda item: (-item[0], item[1], item[2]))
+    return [ScoredPath(nodes=n, edges=e, score=s) for s, n, e in collected[:result_count]]
+
+
+def test_paths_match_heap_and_collect_reference():
+    rng = random.Random(5003)
+    seen = set()
+    for _ in range(1500):
+        g = random_graph(
+            rng, rng.randint(1, 9), rng.randint(0, 20), n_relations=rng.choice([1, 3]),
+            allow_self_loops=rng.random() < 0.5,
+        )
+        if rng.random() < 0.5:
+            prizes = random_prizes(rng, g, cost=rng.choice([0.5, 1.0, 2.0]))
+        else:  # non-integer prizes, so any change in summation order would show
+            prizes = prizes_of(
+                {v: rng.random() for v in g.entities}, {t: rng.random() for t in g.triples},
+                cost=rng.random(),
+            )
+        start_count, max_len = rng.randint(1, 4), rng.randint(1, 4)
+        directed_only = rng.random() < 0.5
+        total = len(heap_and_collect_paths(g, prizes, start_count, max_len, 10**9, directed_only))
+        result_count = rng.choice([1, rng.randint(1, total), total, total + 3])
+        got = retrieve_paths(g, prizes, start_count, max_len, result_count, directed_only)
+        want = heap_and_collect_paths(g, prizes, start_count, max_len, result_count, directed_only)
+        assert got == want
+        assert [p.score.hex() for p in got] == [p.score.hex() for p in want]
+        seen.add((directed_only, result_count < total, result_count > total))
+        seen.add(("parallel", len({(t.subject, t.object) for t in g.triples}) < len(g.triples)))
+        seen.add(("self-loop", any(t.subject == t.object for t in g.triples)))
+    assert {(False, True, False), (True, True, False), (False, False, True), (True, False, True)} <= seen
+    assert {("parallel", True), ("self-loop", True)} <= seen
+    assert retrieve_paths(KnowledgeGraph.from_triples([]), prizes_of()) == []
+
+
+def test_paths_walk_a_chain_longer_than_the_recursion_limit():
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    names = [f"v{i:04d}" for i in range(n)]
+    chain = KnowledgeGraph.from_triples(zip(names, ["r"] * n, names[1:]))
+    prizes = prizes_of({v: 1.0 for v in names}, cost=0.5)
+    best = retrieve_paths(chain, prizes, start_count=1, max_len=n, result_count=2)
+    assert [p.nodes for p in best] == [tuple(names), tuple(names[:-1])]
+    assert best[0].score == 1.0 + 0.5 * (n - 1)
 
 
 def test_pcst_star_keeps_center_alone():
@@ -270,7 +351,7 @@ def test_retrieved_triples_per_variant():
     t_ab, t_bc = Triple("A", "r", "B"), Triple("B", "r", "C")
     trip = retrieve(CHAIN, prizes, variant="triplets", n=1)
     assert trip.retrieved_triples() == {t_ab}
-    paths = retrieve(CHAIN, prizes, variant="paths", result_count=2)
+    paths = retrieve(CHAIN, prizes, variant="paths", n=2)
     assert paths.retrieved_triples() == {t_ab, t_bc}
     sub = retrieve(CHAIN, prizes, variant="subgraph")
     assert sub.retrieved_triples() <= {t_ab, t_bc}
