@@ -156,8 +156,9 @@ def extract_and_prune(
     """
     from .ingest import SubgraphRequest, khop_subgraph
 
-    neighborhood = khop_subgraph(g, SubgraphRequest(tuple(seeds), hops))
-    ranked = personalized_pagerank(neighborhood, list(seeds), config, undirected)
+    seeds = tuple(seeds)  # read twice, so an iterator must be materialized
+    neighborhood = khop_subgraph(g, SubgraphRequest(seeds, hops))
+    ranked = personalized_pagerank(neighborhood, seeds, config, undirected)
     if not ranked.converged:
         logger.warning(
             "PPR did not converge in %d iterations (tol %g); pruning on the last iterate",

@@ -7,7 +7,8 @@ All three variants consume one :class:`~kgr.relevance.PrizeAssignment`:
   the high-prize start nodes is walked and the top n by score are kept;
   a path is worth its node prizes plus edge prizes minus edge costs.
 * ``subgraph``  -- a prize-collecting Steiner-style heuristic that folds
-  edge prizes into reduced costs and prunes unprofitable branches.
+  edge prizes into reduced costs and prunes unprofitable branches; its
+  score is a correctly rounded sum, independent of the hash seed.
 
 Exhaustive oracles for the path and subgraph objectives are provided for
 verification on small graphs (at most 10 nodes, enforced).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -251,123 +253,141 @@ def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
 # Connected-subgraph retrieval (prize-collecting Steiner heuristic)
 # ---------------------------------------------------------------------------
 
-# Transformed-graph node keys: ("n", entity) for real nodes and
-# ("v", triple) for the virtual node that carries an edge's surplus prize.
+# Transformed-graph node ids are ints.  Entity i of ``g.entity_order`` is
+# id i; each triple whose prize exceeds the edge cost gets a virtual id,
+# after the entities and in ``g.triples`` order, for the node that carries
+# the edge's surplus prize.  Both orders are sorted, so ids compare like
+# the entities and triples they stand for (entities first): every tie
+# below breaks on the id.
 
 
 def _transformed_graph(g: KnowledgeGraph, prizes: PrizeAssignment):
-    cost = prizes.edge_cost
-    adjacency: dict[tuple, list[tuple[tuple, float, Triple]]] = {
-        ("n", e): [] for e in g.entities
-    }
-    prize_of: dict[tuple, float] = {
-        ("n", e): prizes.node_prize(e) for e in g.entities
-    }
+    """Adjacency lists, prizes and carried triples of the transformed graph.
+
+    ``adjacency[u]`` lists ``(v, reduced_cost, triple)`` in ``g.triples``
+    order; ``carried[j]`` is the triple of virtual id
+    ``len(g.entity_order) + j``.
+    """
+    cost, edge_prize = prizes.edge_cost, prizes.edge_prize
+    index = g.entity_index
+    prize_of = [prizes.node_prize(e) for e in g.entity_order]
+    adjacency: list[list[tuple[int, float, Triple]]] = [[] for _ in prize_of]
+    carried: list[Triple] = []
     for t in g.triples:
-        s_key, o_key = ("n", t.subject), ("n", t.object)
-        reduced = cost - prizes.edge_prize(t)
+        s, o = index[t.subject], index[t.object]
+        reduced = cost - edge_prize(t)
         if reduced >= 0.0:
-            adjacency[s_key].append((o_key, reduced, t))
-            adjacency[o_key].append((s_key, reduced, t))
+            adjacency[s].append((o, reduced, t))
+            adjacency[o].append((s, reduced, t))
         else:
-            v_key = ("v", t)
-            prize_of[v_key] = -reduced
-            adjacency[v_key] = [(s_key, 0.0, t), (o_key, 0.0, t)]
-            adjacency[s_key].append((v_key, 0.0, t))
-            adjacency[o_key].append((v_key, 0.0, t))
-    return adjacency, prize_of
+            v = len(prize_of)
+            prize_of.append(-reduced)
+            adjacency.append([(s, 0.0, t), (o, 0.0, t)])
+            adjacency[s].append((v, 0.0, t))
+            adjacency[o].append((v, 0.0, t))
+            carried.append(t)
+    return adjacency, prize_of, carried
 
 
-def _grow_tree(adjacency, prize_of, root, greedy_prizes: bool):
+def _grow_tree(adjacency, prize_of, root: int, greedy_prizes: bool):
     """Spanning tree of the root's component, grown best-edge-first.
 
     With ``greedy_prizes`` the priority is the edge cost minus the new
     node's prize (chase value); without it the priority is the plain
-    edge cost (a minimum-spanning-tree shape).  Returns parent pointers:
-    node -> (parent, cost, triple).
+    edge cost (a minimum-spanning-tree shape).  Ties pop in push order.
+    Returns parent pointers in the order nodes joined the tree:
+    node -> (parent, cost, triple), the root mapping to ``None``.
+
+    A node is pushed only when its priority is strictly below the lowest
+    already queued for it.  That is exact: a skipped entry would sort
+    after the queued one (priority not lower, counter larger), so it
+    would pop only once the node is in the tree, and be dropped.
     """
-    def priority(cost: float, node: tuple) -> float:
-        return cost - prize_of[node] if greedy_prizes else cost
-
-    parent: dict[tuple, tuple | None] = {root: None}
-    heap: list[tuple[float, int, tuple, tuple, float, Triple | None]] = []
+    parent: dict[int, tuple[int, float, Triple] | None] = {root: None}
+    # Lowest priority queued per node; -inf once the node is in the tree,
+    # so no priority beats it.
+    lowest = [math.inf] * len(prize_of)
+    lowest[root] = -math.inf
+    heap: list[tuple[float, int, int, int, float, Triple]] = []
     counter = itertools.count()
-    for other, cost, t in adjacency[root]:
-        heapq.heappush(heap, (priority(cost, other), next(counter), other, root, cost, t))
-    while heap:
-        _, _, node, par, cost, t = heapq.heappop(heap)
-        if node in parent:
-            continue
-        parent[node] = (par, cost, t)
-        for other, ocost, ot in adjacency[node]:
-            if other not in parent:
-                heapq.heappush(
-                    heap,
-                    (priority(ocost, other), next(counter), other, node, ocost, ot),
-                )
-    return parent
+    node = root
+    while True:
+        for other, cost, t in adjacency[node]:
+            priority = cost - prize_of[other] if greedy_prizes else cost
+            if priority < lowest[other]:
+                lowest[other] = priority
+                heapq.heappush(heap, (priority, next(counter), other, node, cost, t))
+        while heap:
+            _, _, node, par, cost, t = heapq.heappop(heap)
+            if node not in parent:
+                parent[node] = (par, cost, t)
+                lowest[node] = -math.inf
+                break
+        else:
+            return parent
 
 
-def _best_subtree(parent, prize_of, root):
+def _best_subtree(parent, prize_of):
     """Exact best prize-minus-cost connected subtree of a tree.
 
-    Dynamic program over the tree rooted at ``root``: a child's branch is
-    kept only when its value exceeds the edge cost into it (net-gain
-    pruning).  Returns ``(score, kept_nodes)``.
+    Dynamic program over the tree of ``parent`` pointers: a child's
+    branch is kept only when its value exceeds the edge cost into it
+    (net-gain pruning).  Returns the nodes of the best subtree; between
+    equal values the subtree topped by the smallest id wins.
     """
-    children: dict[tuple, list[tuple]] = {n: [] for n in parent}
-    for node, link in parent.items():
-        if link is not None:
-            children[link[0]].append(node)
-
-    order: list[tuple] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(children[node])
-
-    down: dict[tuple, float] = {}
-    kept_children: dict[tuple, list[tuple]] = {}
-    for node in reversed(order):
+    # ``parent`` lists every node after its parent, so its reverse visits
+    # children first.  ``kept_children`` therefore fills in reverse join
+    # order; gains are added in join order, which fixes the float sum.
+    down: dict[int, float] = {}
+    kept_children: dict[int, list[int]] = {}
+    for node in reversed(parent):
         value = prize_of[node]
-        kept: list[tuple] = []
-        for child in children[node]:
-            edge_cost = parent[child][1]
-            if down[child] - edge_cost > 0.0:
-                value += down[child] - edge_cost
-                kept.append(child)
+        kept = kept_children.get(node, ())
+        for child in reversed(kept):
+            value += down[child] - parent[child][1]
         down[node] = value
-        kept_children[node] = kept
+        link = parent[node]
+        if link is not None and value - link[1] > 0.0:
+            kept_children.setdefault(link[0], []).append(node)
 
-    top = max(sorted(down), key=lambda n: down[n])
+    best = max(down.values())
+    top = min(n for n, value in down.items() if value == best)
     selected = {top}
     stack = [top]
     while stack:
-        node = stack.pop()
-        for child in kept_children[node]:
+        for child in kept_children.get(stack.pop(), ()):
             selected.add(child)
             stack.append(child)
-    return down[top], selected
+    return selected
 
 
-def _subgraph_from_selection(g, prizes, parent, selected):
-    """Map selected transformed nodes back to original nodes and triples."""
-    nodes: set[str] = {key[1] for key in selected if key[0] == "n"}
+def _subgraph_from_selection(g, prizes, parent, selected, carried):
+    """Map selected transformed nodes back to original nodes and triples.
+
+    The score is node prizes plus edge prizes minus edge costs, summed
+    with ``math.fsum``: correctly rounded, so the same for any order the
+    sets iterate in (that order follows the interpreter's hash seed).
+    """
+    entity_count = len(g.entity_order)
+    nodes: set[str] = set()
     triples: set[Triple] = set()
     for key in selected:
-        if key[0] == "v":
-            t = key[1]
+        if key >= entity_count:
+            t = carried[key - entity_count]
             triples.add(t)
             nodes.add(t.subject)
             nodes.add(t.object)
         else:
-            link = parent.get(key)
-            if link is not None and link[0] in selected and link[2] is not None:
+            nodes.add(g.entity_order[key])
+            link = parent[key]
+            if link is not None and link[0] in selected:
                 triples.add(link[2])
     _expand_greedily(g, prizes, nodes, triples)
-    score = sum(prizes.node_prize(v) for v in nodes) + sum(
-        prizes.edge_prize(t) - prizes.edge_cost for t in triples
+    cost = prizes.edge_cost
+    score = math.fsum(
+        itertools.chain(
+            map(prizes.node_prize, nodes), (prizes.edge_prize(t) - cost for t in triples)
+        )
     )
     return nodes, triples, score
 
@@ -377,24 +397,37 @@ def _expand_greedily(g, prizes, nodes: set[str], triples: set[Triple]) -> None:
 
     A candidate must touch the current node set (connectivity); its
     marginal value is the edge gain plus the prize of any newly covered
-    endpoint.  The single best candidate is taken per round.
+    endpoint.  The single best candidate is taken per round, ties broken
+    on the triple.  Only live triples enter the frontier: those whose
+    edge prize exceeds the cost or with an endpoint that has a positive
+    prize.  No other triple can ever have a positive marginal.
     """
     cost = prizes.edge_cost
-    frontier: set[Triple] = set()  # triples touching ``nodes``, not yet taken
+    node_prize, edge_prize = prizes.node_prize, prizes.edge_prize
+    prized = {v for v, p in prizes.node_prizes.items() if p > 0.0}
+    surplus = {t for t, p in prizes.edge_prizes.items() if p > cost}
+    frontier: set[Triple] = set()  # live triples touching ``nodes``, not yet taken
 
     def touch(v: str) -> None:
-        frontier.update(t for t in (*g.out_index[v], *g.in_index[v]) if t not in triples)
+        incident = (*g.out_index[v], *g.in_index[v])
+        if v not in prized:
+            incident = [
+                t
+                for t in incident
+                if t.subject in prized or t.object in prized or t in surplus
+            ]
+        frontier.update(t for t in incident if t not in triples)
 
     for v in nodes:
         touch(v)
     while True:
         best: tuple[float, Triple] | None = None
         for t in frontier:
-            marginal = prizes.edge_prize(t) - cost
+            marginal = edge_prize(t) - cost
             if t.subject not in nodes:
-                marginal += prizes.node_prize(t.subject)
+                marginal += node_prize(t.subject)
             if t.object not in nodes:
-                marginal += prizes.node_prize(t.object)
+                marginal += node_prize(t.object)
             if marginal <= 0.0:
                 continue
             if best is None or (-marginal, t) < (-best[0], best[1]):
@@ -421,15 +454,20 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
     remaining profitable edges, and return the best candidate.  With no
     prizes anywhere the result degenerates to the single highest-degree
     node.
+
+    The transformed graph runs on integer node ids, a tree's heap queues
+    a node again only when its priority strictly improves (the entries
+    skipped could never win), and scores are correctly rounded sums, so
+    the result does not depend on the interpreter's hash seed.
     """
     if not g.entities:
         raise ValueError("cannot retrieve from an empty graph")
-    adjacency, prize_of = _transformed_graph(g, prizes)
+    adjacency, prize_of, carried = _transformed_graph(g, prizes)
     # Roots may be real nodes or the virtual carrier of a prized edge's
     # surplus -- otherwise a graph whose value sits entirely on edges
     # would never be entered at all.
     prized = sorted(
-        (key for key, p in prize_of.items() if p > 0.0),
+        (key for key, p in enumerate(prize_of) if p > 0.0),
         key=lambda key: (-prize_of[key], key),
     )
     if not prized:
@@ -441,7 +479,7 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
         )
 
     best_result: tuple | None = None
-    reached: set[tuple] = set()
+    reached: set[int] = set()
     for i, root in enumerate(prized):
         # Past the top roots, grow only from the best carrier of each
         # component no tree has entered yet (a tree spans its component).
@@ -450,8 +488,10 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
         for greedy_prizes in (True, False):
             parent = _grow_tree(adjacency, prize_of, root, greedy_prizes)
             reached.update(parent)
-            _, selected = _best_subtree(parent, prize_of, root)
-            nodes, triples, score = _subgraph_from_selection(g, prizes, parent, selected)
+            selected = _best_subtree(parent, prize_of)
+            nodes, triples, score = _subgraph_from_selection(
+                g, prizes, parent, selected, carried
+            )
             key = (-score, tuple(sorted(nodes)), tuple(sorted(triples)))
             if best_result is None or key < best_result[0]:
                 best_result = (key, nodes, triples, score)

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kgr
 import kgr.cli as cli
 from kgr.cli import main
 from kgr.ingest import parse_triples, read_graph, serialize
@@ -207,6 +212,36 @@ class TestRetrieve:
         row = json.dumps({"id": "q", "question": "x", "seeds": []})
         queries.write_text(row + "\n" + row + "\n", encoding="utf-8")
         assert main(["retrieve", "--graph", path, "--queries", str(queries)]) == 2
+
+    def test_subgraph_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # At edge cost 0.3 a subgraph's score sums non-integer terms over
+        # sets, whose iteration order follows the interpreter's hash seed.
+        g = random_graph(random.Random(4242), 60, 240, n_relations=5)
+        graph = tmp_path / "graph.tsv"
+        graph.write_text(serialize(g), encoding="utf-8")
+        rng = random.Random(4243)
+        rows = [
+            {"id": f"q{i}", "question": " ".join(rng.sample(g.entity_order, 3)), "seeds": []}
+            for i in range(12)
+        ]
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        src = str(Path(kgr.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"retrieved-{hash_seed}.jsonl"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "kgr", "retrieve", "--graph", str(graph),
+                    "--queries", str(queries), "--variant", "subgraph",
+                    "--edge-cost", "0.3", "--out", str(out),
+                ],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                check=True,
+                timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestPerturb:

@@ -8,6 +8,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgr.graph import KnowledgeGraph, local_clustering, relation_subgraph
 from kgr.metrics import (
@@ -259,6 +260,29 @@ def test_all_metrics_bounded_under_random_perturbation():
         report = compare(g, perturbed)
         for value in (report.ats, report.sc2d, report.sd2):
             assert 0.0 <= value <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(st.sampled_from("abcdef"), st.sampled_from(["r1", "r2", "r3"]), st.sampled_from("abcdef")),
+        min_size=1,  # ats fits its edge scorer on the original's triples
+        max_size=30,
+    ),
+    isolated=st.lists(st.sampled_from(["x", "y"]), max_size=2),
+    method=st.sampled_from(METHODS),
+    level=st.just(0.0) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_metrics_lie_in_unit_interval_and_level_zero_is_identity(
+    triples, isolated, method, level, seed
+):
+    g = KnowledgeGraph.from_triples(triples, extra_entities=isolated)
+    report = compare(g, perturb(g, PerturbationSpec(method, level, seed)).graph)
+    for value in (report.ats, report.sc2d, report.sd2):
+        assert 0.0 <= value <= 1.0
+    if level == 0.0:
+        assert report.sc2d == report.sd2 == 1.0
 
 
 def test_report_json_dict():

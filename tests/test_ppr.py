@@ -158,6 +158,12 @@ def test_extract_and_prune_keeps_relevant_region():
     assert "L0" in sub.entities
 
 
+def test_extract_and_prune_reads_an_iterator_of_seeds_once():
+    g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "r", "c")])
+    assert extract_and_prune(g, iter(["a"])) == extract_and_prune(g, ["a"])
+    assert extract_and_prune(g, (s for s in ["a", "c"])) == extract_and_prune(g, ["a", "c"])
+
+
 def test_extract_and_prune_warns_when_ppr_does_not_converge(caplog):
     g = KnowledgeGraph.from_triples([(f"L{i}", "r", f"L{i+1}") for i in range(4)])
     with caplog.at_level(logging.WARNING, logger="kgr.ppr"):

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgr.graph import KnowledgeGraph, Triple
 from kgr.relevance import PrizeAssignment
 from kgr.retrieval import (
     RetrievedKnowledge,
+    _best_subtree,
     _expand_greedily,
     ScoredPath,
     ScoredSubgraph,
@@ -414,3 +417,213 @@ def test_greedy_expansion_matches_full_scan():
         assert (nodes, start) == (expected_nodes, expected_triples)
         grown += len(start) > 3
     assert grown > 20
+
+
+def test_best_subtree_adds_child_gains_in_join_order():
+    # (0.2 + 0.1) + 0.3 rounds above (0.2 + 0.3) + 0.1.  Node 3 ties the
+    # first sum exactly, so node 0 tops the best subtree (smaller id) only
+    # when the gains of its children 1 and 2 are added in the order they
+    # joined the tree; in the other order node 3 would win alone.
+    t = Triple("a", "r", "b")
+    parent = {0: None, 1: (0, 0.0, t), 2: (0, 0.0, t), 3: (0, 1.0, t)}
+    assert _best_subtree(parent, [0.2, 0.1, 0.3, 0.2 + 0.1 + 0.3]) == {0, 1, 2}
+
+
+# Reference PCST with the same rules written plainly: transformed-graph
+# nodes keyed by ("n", entity) / ("v", triple) tuples, a heap push for
+# every edge seen, a DFS order and a sort for the best-subtree pick, and
+# the full-scan greedy attachment.  The score is summed with ``math.fsum``,
+# as the library does.
+
+
+def tuple_keyed_pcst(g, prizes):
+    cost = prizes.edge_cost
+    adjacency = {("n", e): [] for e in g.entities}
+    prize_of = {("n", e): prizes.node_prize(e) for e in g.entities}
+    for t in g.triples:
+        s_key, o_key = ("n", t.subject), ("n", t.object)
+        reduced = cost - prizes.edge_prize(t)
+        if reduced >= 0.0:
+            adjacency[s_key].append((o_key, reduced, t))
+            adjacency[o_key].append((s_key, reduced, t))
+        else:
+            v_key = ("v", t)
+            prize_of[v_key] = -reduced
+            adjacency[v_key] = [(s_key, 0.0, t), (o_key, 0.0, t)]
+            adjacency[s_key].append((v_key, 0.0, t))
+            adjacency[o_key].append((v_key, 0.0, t))
+
+    def grow_tree(root, greedy_prizes):
+        def priority(c, node):
+            return c - prize_of[node] if greedy_prizes else c
+
+        parent = {root: None}
+        heap, counter = [], itertools.count()
+        for other, c, t in adjacency[root]:
+            heapq.heappush(heap, (priority(c, other), next(counter), other, root, c, t))
+        while heap:
+            _, _, node, par, c, t = heapq.heappop(heap)
+            if node in parent:
+                continue
+            parent[node] = (par, c, t)
+            for other, oc, ot in adjacency[node]:
+                if other not in parent:
+                    heapq.heappush(heap, (priority(oc, other), next(counter), other, node, oc, ot))
+        return parent
+
+    def best_subtree(parent, root):
+        children = {n: [] for n in parent}
+        for node, link in parent.items():
+            if link is not None:
+                children[link[0]].append(node)
+        order, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(children[node])
+        down, kept_children = {}, {}
+        for node in reversed(order):
+            value, kept = prize_of[node], []
+            for child in children[node]:
+                if down[child] - parent[child][1] > 0.0:
+                    value += down[child] - parent[child][1]
+                    kept.append(child)
+            down[node], kept_children[node] = value, kept
+        top = max(sorted(down), key=lambda n: down[n])
+        selected, stack = {top}, [top]
+        while stack:
+            for child in kept_children[stack.pop()]:
+                selected.add(child)
+                stack.append(child)
+        return selected
+
+    def from_selection(parent, selected):
+        nodes = {key[1] for key in selected if key[0] == "n"}
+        triples = set()
+        for key in selected:
+            if key[0] == "v":
+                triples.add(key[1])
+                nodes.update((key[1].subject, key[1].object))
+            else:
+                link = parent.get(key)
+                if link is not None and link[0] in selected and link[2] is not None:
+                    triples.add(link[2])
+        full_scan_expand(g, prizes, nodes, triples)
+        score = math.fsum(
+            [*(prizes.node_prize(v) for v in nodes), *(prizes.edge_prize(t) - cost for t in triples)]
+        )
+        return nodes, triples, score
+
+    prized = sorted((k for k, p in prize_of.items() if p > 0.0), key=lambda k: (-prize_of[k], k))
+    if not prized:
+        degree = {v: len(g.out_index[v]) + len(g.in_index[v]) for v in g.entity_order}
+        best = min(g.entity_order, key=lambda v: (-degree[v], v))
+        return ScoredSubgraph(KnowledgeGraph.from_triples((), extra_entities=(best,)), 0.0)
+    best_result, reached = None, set()
+    for i, root in enumerate(prized):
+        if i >= 3 and root in reached:
+            continue
+        for greedy_prizes in (True, False):
+            parent = grow_tree(root, greedy_prizes)
+            reached.update(parent)
+            nodes, triples, score = from_selection(parent, best_subtree(parent, root))
+            key = (-score, tuple(sorted(nodes)), tuple(sorted(triples)))
+            if best_result is None or key < best_result[0]:
+                best_result = (key, nodes, triples, score)
+    _, nodes, triples, score = best_result
+    return ScoredSubgraph(KnowledgeGraph.from_triples(triples, extra_entities=nodes), score)
+
+
+def component_count(g):
+    seen, count = set(), 0
+    for v in g.entity_order:
+        if v in seen:
+            continue
+        count += 1
+        seen.add(v)
+        stack = [v]
+        while stack:
+            for u in g.undirected_neighbors[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return count
+
+
+def test_pcst_matches_tuple_keyed_reference():
+    rng = random.Random(6029)
+    seen = set()
+    for _ in range(2400):
+        g = random_graph(
+            rng, rng.randint(1, 12), rng.randint(0, 26), n_relations=rng.choice([1, 3]),
+            allow_self_loops=rng.random() < 0.5,
+        )
+        cost = rng.choice([0.3, 0.5, 1.0, 2.0])
+        style = rng.choice(["integer", "fractional", "none"])
+        if style == "none":
+            prizes = prizes_of(cost=cost)
+        elif style == "integer":
+            prizes = prizes_of(
+                {v: float(rng.randint(0, 5)) for v in g.entities if rng.random() < 0.6},
+                {t: rng.choice([0.5 * cost, cost, 2.0 * cost, float(rng.randint(1, 4))])
+                 for t in g.triples if rng.random() < 0.4},
+                cost=cost,
+            )
+        else:  # non-integer prizes: the score's summation order would show
+            prizes = prizes_of(
+                {v: rng.random() * 3 for v in g.entities if rng.random() < 0.7},
+                {t: rng.random() * 3 for t in g.triples if rng.random() < 0.5},
+                cost=cost,
+            )
+        got = retrieve_subgraph_pcst(g, prizes)
+        want = tuple_keyed_pcst(g, prizes)
+        assert got.subgraph.entities == want.subgraph.entities
+        assert got.subgraph.triples == want.subgraph.triples
+        assert got.score.hex() == want.score.hex()
+        seen.add((style, cost))
+        seen.add(("self-loop", any(t.subject == t.object for t in g.triples)))
+        seen.add(("parallel", len({(t.subject, t.object) for t in g.triples}) < len(g.triples)))
+        seen.add(("isolated", any(not g.undirected_neighbors[v] for v in g.entities)))
+        seen.add(("components", min(component_count(g), 3)))
+        for t, p in prizes.edge_prizes.items():
+            seen.add(("edge prize", (p > cost) - (p < cost)))
+    assert {(s, c) for s in ("integer", "fractional", "none") for c in (0.3, 0.5, 1.0, 2.0)} <= seen
+    assert {("self-loop", True), ("parallel", True), ("isolated", True)} <= seen
+    assert {("components", 1), ("components", 2), ("components", 3)} <= seen
+    assert {("edge prize", -1), ("edge prize", 0), ("edge prize", 1)} <= seen
+
+
+pcst_triples = st.lists(
+    st.tuples(st.sampled_from("abcdefg"), st.sampled_from(["r1", "r2"]), st.sampled_from("abcdefg")),
+    max_size=18,
+)
+prize_values = st.floats(0.0, 5.0, allow_nan=False) | st.integers(0, 5).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=pcst_triples,
+    isolated=st.lists(st.sampled_from(["x", "y"]), max_size=2),
+    node_prizes=st.lists(prize_values, min_size=9, max_size=9),
+    edge_prizes=st.lists(prize_values, min_size=18, max_size=18),
+    cost=st.sampled_from([0.3, 0.5, 1.0, 2.0]),
+)
+def test_pcst_result_is_connected_scored_and_beats_any_single_element(
+    triples, isolated, node_prizes, edge_prizes, cost
+):
+    g = KnowledgeGraph.from_triples(triples, extra_entities=["a", *isolated])
+    prizes = prizes_of(
+        dict(zip("abcdefgxy", node_prizes)), dict(zip(g.triples, edge_prizes)), cost=cost
+    )
+    result = retrieve_subgraph_pcst(g, prizes)
+    sub = result.subgraph
+    assert sub.entities <= g.entities and set(sub.triples) <= set(g.triples)
+    assert_connected(sub)
+    assert result.score == math.fsum(
+        [*map(prizes.node_prize, sub.entities), *(prizes.edge_prize(t) - cost for t in sub.triples)]
+    )
+    singles = [prizes.node_prize(v) for v in g.entities] + [
+        math.fsum([*map(prizes.node_prize, {t.subject, t.object}), prizes.edge_prize(t) - cost])
+        for t in g.triples
+    ]
+    assert result.score >= max(singles)
