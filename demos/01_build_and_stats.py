@@ -6,7 +6,7 @@ Building a knowledge graph and reading its statistics
 
 # A graph is just a set of (subject, relation, object) triples; the TSV
 # form is one triple per line.
-from kgr import KnowledgeGraph, graph_stats, neighbors_1hop, parse_triples
+from kgr import KnowledgeGraph, graph_stats, parse_triples
 
 TSV = """\
 tesla\tfounded_by\telon_musk
@@ -27,7 +27,7 @@ same = KnowledgeGraph.from_triples(reversed(g.triples))
 print("order-independent:", same == g)
 
 # 1-hop neighborhoods ignore edge direction.
-print("around elon_musk:", sorted(neighbors_1hop(g, "elon_musk")))
+print("around elon_musk:", sorted(g.undirected_neighbors["elon_musk"]))
 
 # Whole-graph statistics: counts, mean degree, clustering, density.
 stats = graph_stats(g)

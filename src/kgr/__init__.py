@@ -13,8 +13,6 @@ from .graph import (
     RelationNotFoundError,
     Triple,
     graph_stats,
-    local_clustering,
-    neighbors_1hop,
     relation_subgraph,
 )
 from .ingest import (
@@ -50,8 +48,6 @@ from .relevance import (
     PrizeAssignment,
     ServiceEmbedder,
     assign_prizes,
-    element_label,
-    prize_for_rank,
     rank_elements,
     rank_graph_elements,
     verbalize_element,
@@ -68,6 +64,7 @@ from .retrieval import (
     retrieve_subgraph_pcst,
     retrieve_triplets,
 )
+from .sweep import retrieve_for_question, run_sweep
 from .textgen import (
     GeneratedAnswer,
     GenerationClient,
@@ -120,17 +117,13 @@ __all__ = [
     "brute_force_best_subgraph",
     "build_prompt",
     "compare",
-    "element_label",
     "extract_and_prune",
     "fit_baseline_scorer",
     "graph_stats",
     "khop_subgraph",
-    "local_clustering",
-    "neighbors_1hop",
     "parse_triples",
     "personalized_pagerank",
     "perturb",
-    "prize_for_rank",
     "prune_by_ppr",
     "rank_elements",
     "rank_graph_elements",
@@ -139,9 +132,11 @@ __all__ = [
     "render_knowledge",
     "replay_edit_log",
     "retrieve",
+    "retrieve_for_question",
     "retrieve_paths",
     "retrieve_subgraph_pcst",
     "retrieve_triplets",
+    "run_sweep",
     "sc2d",
     "sd2",
     "serialize",

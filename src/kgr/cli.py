@@ -1,7 +1,11 @@
 """Command-line interface.
 
 Subcommands: extract | retrieve | perturb | measure | sweep | generate |
-stats.  argparse is the only option table: each flag is declared once,
+stats.  A handler checks its options, reads the inputs, calls the library
+and writes the outputs; ``retrieve`` and ``sweep`` share
+:func:`kgr.sweep.retrieve_for_question`, whose settings are the seven
+retrieval flags, and ``sweep`` runs :func:`kgr.sweep.run_sweep`.
+argparse is the only option table: each flag is declared once,
 with its type and default, and ``kgr <command> --help`` shows every
 default.  Any option can also come from a YAML config file
 (``--config``), keyed by its flag name with underscores; explicit flags
@@ -27,21 +31,13 @@ import json
 import logging
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import yaml
 
 from .graph import EntityNotFoundError, KnowledgeGraph, graph_stats
-from .ingest import (
-    FORMAT_TSV,
-    FORMATS,
-    ParseError,
-    read_graph,
-    serialize,
-)
-from .metrics import compare, fit_baseline_scorer
+from .ingest import FORMAT_TSV, FORMATS, ParseError, read_graph, serialize
+from .metrics import compare
 from .perturb import (
     METHODS,
     PerturbationSpec,
@@ -52,20 +48,9 @@ from .perturb import (
     perturb,
 )
 from .ppr import PprConfig, extract_and_prune
-from .relevance import (
-    HashedBagEmbedder,
-    ServiceEmbedder,
-    assign_prizes,
-    rank_graph_elements,
-    EMBED_TOKEN_ENV,
-    EMBED_URL_ENV,
-)
-from .retrieval import (
-    VARIANT_TRIPLETS,
-    VARIANTS,
-    retrieve,
-    retrieved_from_json_dict,
-)
+from .relevance import EMBED_TOKEN_ENV, EMBED_URL_ENV, HashedBagEmbedder, ServiceEmbedder
+from .retrieval import VARIANT_TRIPLETS, VARIANTS, retrieved_from_json_dict
+from .sweep import retrieve_for_question, run_sweep
 from .textgen import (
     DEFAULT_TEMPERATURE,
     DEFAULT_TOP_P,
@@ -200,6 +185,12 @@ def _embedder(args: argparse.Namespace):
     return HashedBagEmbedder()
 
 
+def _retrieval_settings(args: argparse.Namespace) -> dict:
+    """The seven retrieval flags, as :func:`retrieve_for_question` reads them."""
+    keys = ("variant", "k", "edge_cost", "n", "start_count", "max_len", "directed_only")
+    return {key: getattr(args, key) for key in keys}
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -248,26 +239,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _retrieve_one(g: KnowledgeGraph, question: str, provider, args: argparse.Namespace):
-    ranked_nodes, ranked_edges = rank_graph_elements(g, question, provider)
-    prizes = assign_prizes(ranked_nodes, ranked_edges, k=args.k, edge_cost=args.edge_cost)
-    return retrieve(
-        g,
-        prizes,
-        variant=args.variant,
-        n=args.n,
-        start_count=args.start_count,
-        max_len=args.max_len,
-        directed_only=args.directed_only,
-    )
-
-
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     queries = _load_queries(_need(args, "queries"))
     if (args.graph is None) == (args.graph_dir is None):
         raise ValueError("provide exactly one of --graph or --graph-dir")
-    provider = _embedder(args)
-
+    provider, settings = _embedder(args), _retrieval_settings(args)
     shared = _read_graph_checked(args.graph, args.format) if args.graph else None
     lines: list[str] = []
     for q in queries:
@@ -275,7 +251,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
             g = shared
         else:
             g = _read_graph_checked(os.path.join(args.graph_dir, f"{q['id']}.tsv"), args.format)
-        result = _retrieve_one(g, q["question"], provider, args)
+        result = retrieve_for_question(g, q["question"], provider, settings)
         record = {"id": q["id"], "question": q["question"], **result.to_json_dict()}
         lines.append(_dump_jsonl_line(record))
     _emit("".join(lines), args.out)
@@ -334,129 +310,20 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _derive_seeds(root_seed: int, count: int) -> list[int]:
-    """Split one root seed into ``count`` independent cell seeds."""
-    state = np.random.SeedSequence(root_seed).generate_state(count, dtype=np.uint32)
-    return [int(x) for x in state]
-
-
-def _jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 1.0
-    union = a | b
-    return len(a & b) / len(union)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     g = _read_graph_checked(_need(args, "graph"), args.format)
-    if not g.triples:
-        raise ValueError("graph has no triples; nothing to perturb")
     queries = _load_queries(_need(args, "queries"))
     out_dir = _need(args, "out")
-    methods, levels = args.methods, args.levels
-    if not methods or not levels:
-        raise ValueError("methods and levels must be non-empty")
-    for lvl in levels:
-        if not 0.0 <= lvl <= 1.0:
-            raise ValueError(f"level {lvl} outside [0, 1]")
-    if args.num_seeds < 1:
-        raise ValueError("num_seeds must be >= 1")
-    provider = _embedder(args)
-
-    started = time.perf_counter()
-    scorer = fit_baseline_scorer(g)
-    baseline: dict[str, set] = {}
-    for q in queries:
-        baseline[q["id"]] = _retrieve_one(g, q["question"], provider, args).retrieved_triples()
-    cell_seeds = _derive_seeds(args.seed, args.num_seeds)
-
-    def run_cell(method: str, level: float, seed: int) -> tuple[dict, int | None]:
-        """The cell's record and its skipped-edit count (None if it failed)."""
-        try:
-            spec = PerturbationSpec(method=method, level=level, seed=seed)
-            pg = perturb(g, spec, scorer=scorer, replace_mode=args.replace_mode)
-            report = compare(g, pg.graph, scorer)
-            per_query = []
-            for q in queries:
-                retrieved = _retrieve_one(
-                    pg.graph, q["question"], provider, args
-                ).retrieved_triples()
-                per_query.append(
-                    {"id": q["id"], "overlap": _jaccard(baseline[q["id"]], retrieved)}
-                )
-            record = {
-                "method": method,
-                "level": level,
-                "seed": seed,
-                "ats": report.ats,
-                "sc2d": report.sc2d,
-                "sd2": report.sd2,
-                "retrieval_overlap": sum(p["overlap"] for p in per_query) / len(per_query),
-                "per_query": per_query,
-            }
-            return record, sum(rec.skipped for rec in pg.edit_log)
-        except Exception as exc:  # cell failure must not sink the sweep
-            logger.debug("sweep cell %s/%r/%d failed", method, level, seed, exc_info=True)
-            error = f"{type(exc).__name__}: {exc}"
-            return {"method": method, "level": level, "seed": seed, "error": error}, None
-
-    header = {
-        "record_type": "header",
-        "root_seed": args.seed,
-        "cell_seeds": cell_seeds,
-        "methods": methods,
-        "levels": levels,
-        "num_seeds": args.num_seeds,
-        "variant": args.variant,
-        "prize_k": args.k,
-        "edge_cost": args.edge_cost,
-        "query_count": len(queries),
-    }
-    lines = [_dump_jsonl_line(header)]
-    csv_lines = ["method,level,mean_ats,mean_sc2d,mean_sd2,mean_retrieval_overlap,seeds_used"]
-    cell_seconds: list[float] = []
-    skipped_edits: list[int | None] = []
-    failures = 0
-    # Cells run in record order: method, then level, then seed value.
-    for method in methods:
-        for level in levels:
-            good = []
-            for seed in sorted(cell_seeds):
-                cell_start = time.perf_counter()
-                record, skipped = run_cell(method, level, seed)
-                cell_seconds.append(time.perf_counter() - cell_start)
-                skipped_edits.append(skipped)
-                lines.append(_dump_jsonl_line(record))
-                if "error" in record:
-                    failures += 1
-                else:
-                    good.append(record)
-            if good:
-                means = [
-                    sum(r[key] for r in good) / len(good)
-                    for key in ("ats", "sc2d", "sd2", "retrieval_overlap")
-                ]
-                csv_lines.append(
-                    ",".join([method, repr(level), *map(repr, means), str(len(good))])
-                )
-
-    memo_stats = getattr(provider, "memo_stats", {})
-    meta = {
-        "started_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "wall_time_s": time.perf_counter() - started,
-        "cells": len(cell_seconds),
-        "failed_cells": failures,
-        "cell_seconds": cell_seconds,
-        "skipped_edits": skipped_edits,
-        # Embedder memo counters; null for a provider without a memo.
-        "embedded_texts": memo_stats.get("embedded"),
-        "embed_cache_hits": memo_stats.get("hits"),
-    }
-    _atomic_write(os.path.join(out_dir, "records.jsonl"), "".join(lines))
-    _atomic_write(os.path.join(out_dir, "curves.csv"), "\n".join(csv_lines) + "\n")
+    records, curves, meta = run_sweep(
+        g, queries, methods=args.methods, levels=args.levels, num_seeds=args.num_seeds,
+        root_seed=args.seed, settings=_retrieval_settings(args), provider=_embedder(args),
+        replace_mode=args.replace_mode,
+    )
+    _atomic_write(os.path.join(out_dir, "records.jsonl"), "".join(map(_dump_jsonl_line, records)))
+    _atomic_write(os.path.join(out_dir, "curves.csv"), "\n".join(curves) + "\n")
     _atomic_write(os.path.join(out_dir, "meta.json"), _dump_json(meta))
-    if failures:
-        logger.warning("%d of %d sweep cells failed", failures, len(cell_seconds))
+    if meta["failed_cells"]:
+        logger.warning("%d of %d sweep cells failed", meta["failed_cells"], meta["cells"])
         return 3
     return 0
 

@@ -206,27 +206,14 @@ class GraphStats:
         }
 
 
-def _require_entity(g: KnowledgeGraph, entity: str) -> None:
-    if entity not in g.entities:
-        raise EntityNotFoundError(entity)
-
-
-def neighbors_1hop(g: KnowledgeGraph, entity: str) -> set[str]:
-    """All entities one undirected hop from ``entity``.
-
-    The result never contains ``entity`` itself unless a self-loop exists.
-    """
-    _require_entity(g, entity)
-    return set(g.undirected_neighbors[entity])
-
-
 def local_clustering(g: KnowledgeGraph, entity: str) -> float:
     """Local clustering coefficient on the undirected simple projection.
 
     c(v) = 2 * tri(v) / (deg(v) * (deg(v) - 1)), and 0.0 when deg(v) < 2.
     Self-loops are ignored.
     """
-    _require_entity(g, entity)
+    if entity not in g.entities:
+        raise EntityNotFoundError(entity)
     adj = g.simple_neighbors
     nbrs = adj[entity]
     deg = len(nbrs)

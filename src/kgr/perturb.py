@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import KnowledgeGraph, Triple
+from .metrics import fit_baseline_scorer
 
 METHOD_RELATION_SWAP = "relation_swap"
 METHOD_RELATION_REPLACE = "relation_replace"
@@ -153,8 +154,6 @@ def _relation_replace(
     shuffled, _ = _shuffled_triples(g, seed)
     targets = shuffled[: round_half_up(level * len(shuffled))]
     if targets and scorer is None:
-        from .metrics import fit_baseline_scorer
-
         scorer = fit_baseline_scorer(g)
     relations = sorted(g.relations)
     current = set(g.triples)

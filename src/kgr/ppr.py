@@ -17,6 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import EntityNotFoundError, KnowledgeGraph
+from .ingest import SubgraphRequest, khop_subgraph
 
 logger = logging.getLogger(__name__)
 
@@ -154,8 +155,6 @@ def extract_and_prune(
     Logs a warning when PPR stops at ``config.max_iter`` unconverged; the
     pruning then uses the last iterate.
     """
-    from .ingest import SubgraphRequest, khop_subgraph
-
     seeds = tuple(seeds)  # read twice, so an iterator must be materialized
     neighborhood = khop_subgraph(g, SubgraphRequest(seeds, hops))
     ranked = personalized_pagerank(neighborhood, seeds, config, undirected)

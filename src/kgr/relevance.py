@@ -174,15 +174,6 @@ class ServiceEmbedder:
         return out
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / denom)
-
-
 def _ranked_rows(matrix: np.ndarray, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row order by descending similarity, and the similarities.
 

@@ -13,7 +13,6 @@ flight at once.
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 import time
@@ -166,14 +165,6 @@ class GenerationClient:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self._gate = threading.Semaphore(self.max_in_flight)
-
-    @classmethod
-    def from_env(cls, **overrides) -> "GenerationClient":
-        url = os.environ.get(GEN_URL_ENV, "")
-        if not url:
-            raise ValueError(f"{GEN_URL_ENV} is not set")
-        token = os.environ.get(GEN_TOKEN_ENV) or None
-        return cls(url=url, token=token, **overrides)
 
     def generate(self, prompt: str) -> GeneratedAnswer:
         """POST the prompt and return the completion.

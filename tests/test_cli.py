@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import kgr
-import kgr.cli as cli
+import kgr.sweep
 from kgr.cli import main
 from kgr.ingest import parse_triples, read_graph, serialize
 from kgr.perturb import PerturbationSpec, parse_edit_log, perturb, replay_edit_log
@@ -477,14 +477,14 @@ class TestSweep:
 
     def test_failed_cells_exit_3(self, graph_file, queries_file, tmp_path, monkeypatch):
         path, _ = graph_file
-        real_compare = cli.compare
+        real_compare = kgr.sweep.compare
 
         def flaky_compare(g, gp, scorer=None):
             if len(gp.triples) == len(g.triples):
                 raise RuntimeError("synthetic cell failure")
             return real_compare(g, gp, scorer)
 
-        monkeypatch.setattr(cli, "compare", flaky_compare)
+        monkeypatch.setattr(kgr.sweep, "compare", flaky_compare)
         out_dir = tmp_path / "sweep"
         assert self.run_sweep(path, queries_file, str(out_dir)) == 3
         records = read_jsonl(out_dir / "records.jsonl")[1:]
@@ -527,6 +527,28 @@ class TestSweep:
         assert header["methods"] == ["edge_delete"]  # from config
         assert header["levels"] == [0.0, 1.0]  # from config
         assert header["num_seeds"] == 1  # flag beat config
+
+    def test_header_records_every_retrieval_setting(self, graph_file, queries_file, tmp_path):
+        path, _ = graph_file
+        headers = {}
+        for n in (2, 9):
+            out_dir = tmp_path / f"n{n}"
+            extra = ["--variant", "paths", "--n", str(n)]
+            assert self.run_sweep(path, queries_file, str(out_dir), extra) == 0
+            headers[n] = read_jsonl(out_dir / "records.jsonl")[0]
+        assert headers[2] != headers[9]
+        for n, header in headers.items():
+            settings = {
+                "variant": "paths", "prize_k": 15, "edge_cost": 1.0, "n": n,
+                "start_count": 5, "max_len": 4, "directed_only": False,
+            }
+            assert {key: header[key] for key in settings} == settings
+
+    def test_bad_level_fails_the_whole_run(self, graph_file, queries_file, tmp_path):
+        path, _ = graph_file
+        out_dir = tmp_path / "sweep"
+        assert self.run_sweep(path, queries_file, str(out_dir), ["--levels", "0.0,1.5"]) == 2
+        assert not out_dir.exists()
 
 
 class TestGenerate:

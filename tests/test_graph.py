@@ -15,7 +15,6 @@ from kgr.graph import (
     Triple,
     graph_stats,
     local_clustering,
-    neighbors_1hop,
     relation_subgraph,
 )
 from conftest import random_graph
@@ -81,8 +80,8 @@ def test_indexes_partition_the_triples():
 
 def test_neighbors_diamond():
     g = KnowledgeGraph.from_triples(DIAMOND)
-    assert neighbors_1hop(g, "B") == {"A", "D"}
-    assert neighbors_1hop(g, "A") == {"B", "C"}
+    assert g.undirected_neighbors["B"] == {"A", "D"}
+    assert g.undirected_neighbors["A"] == {"B", "C"}
 
 
 def test_neighbors_matches_linear_scan():
@@ -96,20 +95,18 @@ def test_neighbors_matches_linear_scan():
                     expected.add(o)
                 if o == v:
                     expected.add(s)
-            assert neighbors_1hop(g, v) == expected
+            assert g.undirected_neighbors[v] == expected
 
 
 def test_neighbors_excludes_self_without_loop():
     g = KnowledgeGraph.from_triples([("A", "r", "B")])
-    assert "A" not in neighbors_1hop(g, "A")
+    assert "A" not in g.undirected_neighbors["A"]
     looped = KnowledgeGraph.from_triples([("A", "r", "A"), ("A", "r", "B")])
-    assert "A" in neighbors_1hop(looped, "A")
+    assert "A" in looped.undirected_neighbors["A"]
 
 
 def test_unknown_entity_raises():
     g = KnowledgeGraph.from_triples(DIAMOND)
-    with pytest.raises(EntityNotFoundError):
-        neighbors_1hop(g, "Z")
     with pytest.raises(EntityNotFoundError):
         local_clustering(g, "Z")
 

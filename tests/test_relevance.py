@@ -14,7 +14,6 @@ from kgr.relevance import (
     PrizeAssignment,
     ServiceEmbedder,
     assign_prizes,
-    cosine,
     element_label,
     prize_for_rank,
     rank_elements,
@@ -22,6 +21,16 @@ from kgr.relevance import (
     verbalize_element,
 )
 from kgr.transport import TransportError
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Per-element reference for the ranking's matrix product."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+    if denom == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / denom)
 
 
 def test_element_label():

@@ -207,17 +207,6 @@ class TestGenerationClient:
         with pytest.raises(ValueError):
             GenerationClient(url="http://x", max_in_flight=0)
 
-    def test_from_env(self, mock_service, monkeypatch):
-        svc = mock_service(echo_generation_behavior)
-        monkeypatch.setenv("KGR_GEN_URL", svc.url)
-        monkeypatch.setenv("KGR_GEN_TOKEN", "tok")
-        client = GenerationClient.from_env(backoff=0.01)
-        assert client.generate("x").text.startswith("ECHO[1]")
-        assert svc.last_auth == "Bearer tok"
-        monkeypatch.delenv("KGR_GEN_URL")
-        with pytest.raises(ValueError):
-            GenerationClient.from_env()
-
 
 class TestTransport:
     def test_connection_refused_raises_transport_error(self):
