@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -99,6 +100,38 @@ class KnowledgeGraph:
         return {e: i for i, e in enumerate(self.entity_order)}
 
     @cached_property
+    def endpoint_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Subject and object positions in :attr:`entity_order`, one pair per
+        triple and aligned with :attr:`triples`.  The arrays are read-only."""
+        index = self.entity_index
+        count = len(self.triples)
+        subjects = np.fromiter((index[t.subject] for t in self.triples), np.intp, count)
+        objects = np.fromiter((index[t.object] for t in self.triples), np.intp, count)
+        subjects.flags.writeable = objects.flags.writeable = False
+        return subjects, objects
+
+    def _induced(self, triple_mask: np.ndarray, entity_mask: np.ndarray) -> "KnowledgeGraph":
+        """Subgraph of the triples and entities the boolean masks keep.
+
+        Every kept triple must have both endpoints kept.  A subsequence of
+        the sorted, duplicate-free triple tuple is still sorted and
+        duplicate-free, so nothing is re-sorted; the child's entity order
+        and endpoint arrays are carried over instead of rebuilt.
+        """
+        entity_order = tuple(compress(self.entity_order, entity_mask.tolist()))
+        triples = tuple(compress(self.triples, triple_mask.tolist()))
+        child = KnowledgeGraph(
+            entities=frozenset(entity_order),
+            relations=frozenset(t.relation for t in triples),
+            triples=triples,
+        )
+        remap = np.cumsum(entity_mask, dtype=np.intp) - 1
+        subjects, objects = (remap[ids[triple_mask]] for ids in self.endpoint_ids)
+        subjects.flags.writeable = objects.flags.writeable = False
+        vars(child).update(entity_order=entity_order, endpoint_ids=(subjects, objects))
+        return child
+
+    @cached_property
     def out_index(self) -> dict[str, tuple[Triple, ...]]:
         """Out-edges per entity; every entity has an entry (possibly empty)."""
         acc: dict[str, list[Triple]] = {e: [] for e in self.entities}
@@ -174,11 +207,8 @@ class KnowledgeGraph:
         """
         n = len(self.entities)
         if self.relations:
-            index = self.entity_index
-            ends = [index[t.subject] for t in self.triples] + [
-                index[t.object] for t in self.triples
-            ]
-            counts = np.bincount(np.asarray(ends, dtype=np.intp), minlength=n)
+            subjects, objects = self.endpoint_ids
+            counts = np.bincount(subjects, minlength=n) + np.bincount(objects, minlength=n)
             vec = counts.astype(np.float64) / len(self.relations)
         else:
             vec = np.zeros(n, dtype=np.float64)

@@ -16,9 +16,10 @@ dropped on a serialize/parse round trip.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import IO
+
+import numpy as np
 
 from .graph import EntityNotFoundError, KnowledgeGraph, Triple
 
@@ -129,20 +130,21 @@ def khop_subgraph(g: KnowledgeGraph, request: SubgraphRequest) -> KnowledgeGraph
     A triple is kept exactly when both endpoints lie within the hop budget
     of some seed.  Seeds are always part of the result, even when no triple
     survives.  Unknown seeds raise ``EntityNotFoundError``.
+
+    Each hop is one vectorized step over the graph's endpoint arrays
+    (:attr:`KnowledgeGraph.endpoint_ids`).  They are cached on the
+    immutable graph, so many extractions from one graph build them once.
     """
+    index = g.entity_index
     for seed in request.seeds:
-        if seed not in g.entities:
+        if seed not in index:
             raise EntityNotFoundError(seed)
-    dist: dict[str, int] = {s: 0 for s in request.seeds}
-    queue = deque(request.seeds)
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        if d == request.hops:
-            continue
-        for u in g.undirected_neighbors[v]:
-            if u not in dist:
-                dist[u] = d + 1
-                queue.append(u)
-    kept = [t for t in g.triples if t.subject in dist and t.object in dist]
-    return KnowledgeGraph.from_triples(kept, extra_entities=request.seeds)
+    subjects, objects = g.endpoint_ids
+    ball = np.zeros(len(index), dtype=bool)
+    ball[[index[seed] for seed in request.seeds]] = True
+    for _ in range(request.hops):
+        touch = ball[subjects] | ball[objects]
+        ball[subjects[touch]] = True
+        ball[objects[touch]] = True
+    # Every ball member but a seed is an endpoint of a kept triple.
+    return g._induced(ball[subjects] & ball[objects], ball)

@@ -5,6 +5,11 @@ probability mass along edge direction: column u of W spreads p[u] over
 the out-edge multiset of u (parallel edges count with multiplicity).
 Mass sitting on dangling nodes (no out-edges) is redistributed onto the
 personalization vector s each step, so the scores always sum to one.
+
+The transition matrix and the pruning mask are built from the graph's
+endpoint arrays (:attr:`KnowledgeGraph.endpoint_ids`), which are cached
+on the immutable graph; pruning keeps a subsequence of the triples, so
+the pruned graph is built without re-sorting them.
 """
 
 from __future__ import annotations
@@ -54,22 +59,15 @@ def _transition_matrix(
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Sparse W with W[v, u] = (# edges u->v) / outdeg(u), plus dangling mask."""
     n = len(g.entity_order)
-    index = g.entity_index
-    rows: list[int] = []
-    cols: list[int] = []
-    outdeg = np.zeros(n, dtype=np.float64)
-    for t in g.triples:
-        s, o = index[t.subject], index[t.object]
-        rows.append(o)
-        cols.append(s)
-        outdeg[s] += 1.0
-        if undirected:
-            rows.append(s)
-            cols.append(o)
-            outdeg[o] += 1.0
-    data = np.ones(len(rows), dtype=np.float64)
-    for k, c in enumerate(cols):
-        data[k] = 1.0 / outdeg[c]
+    subjects, objects = g.endpoint_ids
+    if undirected:
+        # Per triple, (o, s) comes before (s, o): duplicates sum in triple order.
+        rows = np.column_stack((objects, subjects)).ravel()
+        cols = np.column_stack((subjects, objects)).ravel()
+    else:
+        rows, cols = objects, subjects
+    outdeg = np.bincount(cols, minlength=n).astype(np.float64)
+    data = 1.0 / outdeg[cols]
     mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     dangling = outdeg == 0.0
     return mat, dangling
@@ -117,7 +115,7 @@ def personalized_pagerank(
         if delta < config.tol:
             converged = True
             break
-    scores = {e: float(p[i]) for i, e in enumerate(g.entity_order)}
+    scores = dict(zip(g.entity_order, p.tolist()))
     return PprScores(scores=scores, iterations_used=iterations, converged=converged)
 
 
@@ -138,9 +136,9 @@ def prune_by_ppr(
         raise ValueError(
             f"scores missing for {len(missing)} entities, e.g. {sorted(missing)[:3]}"
         )
-    kept = {e for e in g.entities if table[e] >= threshold}
-    survivors = [t for t in g.triples if t.subject in kept and t.object in kept]
-    return KnowledgeGraph.from_triples(survivors, extra_entities=kept)
+    kept = np.array([table[e] for e in g.entity_order]) >= threshold
+    subjects, objects = g.endpoint_ids
+    return g._induced(kept[subjects] & kept[objects], kept)
 
 
 def extract_and_prune(

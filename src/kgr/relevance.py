@@ -9,6 +9,7 @@ fallback that needs no network at all.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from collections import Counter
@@ -52,10 +53,13 @@ def verbalize_element(element: str | Triple) -> str:
     """Text form of a graph element: entity label, or the three labels
     of a triple joined by spaces."""
     if isinstance(element, Triple):
-        return " ".join(
-            element_label(part) for part in (element.subject, element.relation, element.object)
-        )
+        return _triple_text(element, element_label)
     return element_label(element)
+
+
+def _triple_text(triple: Triple, label) -> str:
+    """The one rule joining a triple's subject, relation and object labels."""
+    return " ".join(map(label, triple))
 
 
 def _tokens(text: str) -> list[str]:
@@ -89,7 +93,9 @@ class HashedBagEmbedder:
     )
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        return [self._embed_one(t) for t in texts]
+        # Each distinct token is hashed once per call.
+        bucket = functools.cache(functools.partial(_token_bucket, dimension=self.dimension))
+        return [self._embed_one(t, bucket) for t in texts]
 
     def embed_cached(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Like :meth:`embed`, but each distinct text is embedded once per
@@ -103,7 +109,7 @@ class HashedBagEmbedder:
         self.memo_stats["hits"] += len(texts) - len(new)
         return [memo[t] for t in texts]
 
-    def _embed_one(self, text: str) -> np.ndarray:
+    def _embed_one(self, text: str, bucket) -> np.ndarray:
         if not text or not text.strip():
             raise ValueError("cannot embed empty text")
         toks = _tokens(text)
@@ -112,13 +118,13 @@ class HashedBagEmbedder:
             toks = [text.strip()]
         vec = np.zeros(self.dimension, dtype=np.float64)
         for tok in toks:
-            idx, sign = _token_bucket(tok, self.dimension)
+            idx, sign = bucket(tok)
             vec[idx] += sign
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             # Signed counts cancelled out; fall back to an unsigned bag.
             for tok in toks:
-                idx, _ = _token_bucket(tok, self.dimension)
+                idx, _ = bucket(tok)
                 vec[idx] += 1.0
             norm = float(np.linalg.norm(vec))
         return vec / norm
@@ -275,7 +281,8 @@ def rank_graph_elements(g, query: str, provider=None) -> tuple[list[str], list[T
     """
     provider = provider or HashedBagEmbedder()
     nodes, edges = g.entity_order, g.triples  # both already in id order
-    texts = [query, *map(verbalize_element, nodes), *map(verbalize_element, edges)]
+    label = {e: element_label(e) for e in (*nodes, *g.relations)}.__getitem__
+    texts = [query, *map(label, nodes), *(_triple_text(t, label) for t in edges)]
     embed = getattr(provider, "embed_cached", provider.embed)
     vectors = np.stack(embed(texts))
     query_vec = vectors[0]

@@ -231,6 +231,12 @@ def test_zero_relation_graph_gives_zero_vectors():
     assert sd2(g, g) == 1.0
 
 
+def test_relation_degree_of_graphs_without_triples_is_zero():
+    assert KnowledgeGraph.from_triples([]).mean_relation_degree.shape == (0,)
+    g = KnowledgeGraph.from_triples([], extra_entities=["a", "b"], extra_relations=["r"])
+    np.testing.assert_array_equal(g.mean_relation_degree, [0.0, 0.0])
+
+
 def test_entity_mismatch_rejected():
     g = KnowledgeGraph.from_triples([("a", "r", "b")])
     h = KnowledgeGraph.from_triples([("a", "r", "c")])

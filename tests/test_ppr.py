@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import deque
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import sparse
 
+from kgr import ppr
 from kgr.graph import EntityNotFoundError, KnowledgeGraph
+from kgr.ingest import SubgraphRequest, khop_subgraph
 from kgr.ppr import PprConfig, extract_and_prune, personalized_pagerank, prune_by_ppr
 from conftest import random_graph
 
@@ -201,3 +207,112 @@ def test_matches_networkx_pagerank(undirected):
         assert result.converged
         for e in g.entities:
             assert result.scores[e] == pytest.approx(expected[e], abs=1e-9)
+
+
+# Dict-and-loop references for the three extraction stages, which run on
+# the graph's integer endpoint arrays.
+
+
+def reference_khop(g: KnowledgeGraph, seeds, hops: int) -> KnowledgeGraph:
+    neighbors: dict[str, set[str]] = {e: set() for e in g.entities}
+    for t in g.triples:
+        neighbors[t.subject].add(t.object)
+        neighbors[t.object].add(t.subject)
+    dist = {s: 0 for s in seeds}
+    queue = deque(seeds)
+    while queue:
+        v = queue.popleft()
+        if dist[v] == hops:
+            continue
+        for u in neighbors[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    kept = [t for t in g.triples if t.subject in dist and t.object in dist]
+    return KnowledgeGraph.from_triples(kept, extra_entities=seeds)
+
+
+def reference_transition_matrix(g: KnowledgeGraph, undirected: bool):
+    n = len(g.entity_order)
+    index = g.entity_index
+    rows: list[int] = []
+    cols: list[int] = []
+    outdeg = np.zeros(n, dtype=np.float64)
+    for t in g.triples:
+        s, o = index[t.subject], index[t.object]
+        rows.append(o)
+        cols.append(s)
+        outdeg[s] += 1.0
+        if undirected:
+            rows.append(s)
+            cols.append(o)
+            outdeg[o] += 1.0
+    data = np.ones(len(rows), dtype=np.float64)
+    for k, c in enumerate(cols):
+        data[k] = 1.0 / outdeg[c]
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n)), outdeg == 0.0
+
+
+def reference_prune(g: KnowledgeGraph, scores, threshold: float) -> KnowledgeGraph:
+    kept = {e for e in g.entities if scores.scores[e] >= threshold}
+    survivors = [t for t in g.triples if t.subject in kept and t.object in kept]
+    return KnowledgeGraph.from_triples(survivors, extra_entities=kept)
+
+
+def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
+    """Equal content and layout, endpoint arrays included; ``expected`` is
+    also rebuilt by ``from_triples`` so its arrays come from a fresh lookup."""
+    rebuilt = KnowledgeGraph.from_triples(expected.triples, extra_entities=expected.entities)
+    for other in (expected, rebuilt):
+        assert g == other
+        assert g.relations == other.relations
+        assert g.entity_order == other.entity_order
+        for mine, theirs in zip(g.endpoint_ids, other.endpoint_ids):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    subjects, objects = g.endpoint_ids
+    assert [g.entity_order[i] for i in subjects] == [t.subject for t in g.triples]
+    assert [g.entity_order[i] for i in objects] == [t.object for t in g.triples]
+    assert not subjects.flags.writeable and not objects.flags.writeable
+
+
+ENTITIES = [f"e{i}" for i in range(7)]
+messy_triples = st.lists(
+    st.tuples(st.sampled_from(ENTITIES), st.sampled_from(["r0", "r1", "r2"]), st.sampled_from(ENTITIES)),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=messy_triples,
+    isolated=st.lists(st.sampled_from(ENTITIES + ["lone0", "lone1"]), max_size=3),
+    hops=st.integers(0, 3),
+    undirected=st.booleans(),
+    threshold=st.sampled_from([0.0, 1e-5, 0.01, 0.05, 0.2, 1.0]),
+    data=st.data(),
+)
+def test_extraction_stages_match_reference_loops(triples, isolated, hops, undirected, threshold, data):
+    # Self-loops, parallel edges (same ends, other relation), isolated
+    # entities and repeated seeds all occur in the drawn graphs.
+    g = KnowledgeGraph.from_triples(triples, extra_entities=isolated)
+    assume(g.entities)
+    seeds = tuple(data.draw(st.lists(st.sampled_from(g.entity_order), min_size=1, max_size=4)))
+    sub = khop_subgraph(g, SubgraphRequest(seeds, hops))
+    ref_sub = reference_khop(g, seeds, hops)
+    assert_same_graph(sub, ref_sub)
+
+    mat, dangling = ppr._transition_matrix(sub, undirected)
+    ref_mat, ref_dangling = reference_transition_matrix(ref_sub, undirected)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(mat, attr).tobytes() == getattr(ref_mat, attr).tobytes()
+    assert np.array_equal(dangling, ref_dangling)
+
+    config = PprConfig(tol=1e-9)
+    ranked = personalized_pagerank(sub, seeds, config, undirected)
+    with mock.patch.object(ppr, "_transition_matrix", reference_transition_matrix):
+        ref_ranked = personalized_pagerank(ref_sub, seeds, config, undirected)
+    assert list(ranked.scores) == list(ref_ranked.scores)
+    assert np.array(list(ranked.scores.values())).tobytes() == np.array(list(ref_ranked.scores.values())).tobytes()
+    assert (ranked.iterations_used, ranked.converged) == (ref_ranked.iterations_used, ref_ranked.converged)
+
+    assert_same_graph(prune_by_ppr(sub, ranked, threshold), reference_prune(ref_sub, ref_ranked, threshold))

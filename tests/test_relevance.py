@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from kgr import relevance
 from kgr.graph import KnowledgeGraph, Triple
 from kgr.relevance import (
     HashedBagEmbedder,
@@ -57,6 +58,25 @@ def test_fallback_embedder_deterministic_unit_norm():
     # Same text embedded in a different call still yields the same vector.
     again = emb.embed(["gamma"])[0]
     assert np.array_equal(again, vecs[1])
+
+
+def test_fallback_embedder_hashes_each_distinct_token_once_per_call(monkeypatch):
+    # "w25" and "w35" share a bucket with opposite signs, so their signed
+    # bag cancels and the unsigned fallback runs, reusing the same hashes.
+    texts = ["alpha beta alpha", "beta gamma", "w25 w35", "w35 w25 w25"]
+    one_by_one = [HashedBagEmbedder().embed([t])[0] for t in texts]
+    hashed = []
+    original = relevance._token_bucket
+
+    def counted(token, dimension):
+        hashed.append(token)
+        return original(token, dimension)
+
+    monkeypatch.setattr(relevance, "_token_bucket", counted)
+    batch = HashedBagEmbedder().embed(texts)
+    assert sorted(hashed) == ["alpha", "beta", "gamma", "w25", "w35"]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(batch, one_by_one))
+    assert np.count_nonzero(batch[2]) == 1 and batch[2].max() == 1.0
 
 
 def test_fallback_embedder_token_overlap_orders_similarity():
@@ -293,3 +313,27 @@ def test_rank_graph_elements_with_embed_only_provider():
     )
     question = "how do solar panels make electricity"
     assert rank_graph_elements(g, question, PlainProvider()) == rank_graph_elements(g, question)
+
+
+def test_rank_graph_elements_embeds_each_element_verbalized():
+    class Recorder:
+        def __init__(self):
+            self.texts = []
+
+        def embed(self, texts):
+            self.texts += texts
+            return HashedBagEmbedder().embed(texts)
+
+    g = KnowledgeGraph.from_triples(
+        [
+            ("http://ex.org/Tesla_Inc", "http://ex.org/ns#founded_by", "http://ex.org/Elon_Musk"),
+            ("http://ex.org/Elon_Musk", "http://ex.org/ns#founded_by", "http://ex.org/Elon_Musk"),
+            ("http://ex.org/Elon_Musk", "knows/", "plain_name"),
+            ("knows/", "http://ex.org/ns#founded_by", "Tesla#"),
+        ],
+        extra_entities=["lonely_node"],
+    )
+    recorder = Recorder()
+    rank_graph_elements(g, "who founded tesla", recorder)
+    expected = ["who founded tesla", *map(verbalize_element, g.entity_order)]
+    assert recorder.texts == expected + [verbalize_element(t) for t in g.triples]

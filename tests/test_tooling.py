@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import kgr
+import kgr.ppr
 import kgr.sweep
+from kgr.graph import KnowledgeGraph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -41,6 +44,20 @@ def test_sweep_binds_the_traced_functions_it_calls():
         ("retrieval", "retrieve"),
     ]:
         assert getattr(kgr.sweep, attr) is getattr(importlib.import_module("kgr." + layer), attr)
+
+
+def test_extract_and_prune_calls_its_stages_by_module_name(monkeypatch):
+    # Traced qa reads ingest.khop_subgraph and ppr time from these spans.
+    calls = Counter()
+    for name in ("khop_subgraph", "personalized_pagerank", "prune_by_ppr"):
+        def counted(*args, _name=name, _fn=getattr(kgr.ppr, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(kgr.ppr, name, counted)
+    g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "r", "c")])
+    kgr.ppr.extract_and_prune(g, ["a"])
+    assert calls == {"khop_subgraph": 1, "personalized_pagerank": 1, "prune_by_ppr": 1}
 
 
 def test_every_export_resolves():
