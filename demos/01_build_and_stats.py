@@ -6,6 +6,8 @@ Building a knowledge graph and reading its statistics
 
 # A graph is just a set of (subject, relation, object) triples; the TSV
 # form is one triple per line.
+from dataclasses import asdict
+
 from kgr import KnowledgeGraph, graph_stats, parse_triples
 
 TSV = """\
@@ -31,5 +33,5 @@ print("around elon_musk:", sorted(g.undirected_neighbors["elon_musk"]))
 
 # Whole-graph statistics: counts, mean degree, clustering, density.
 stats = graph_stats(g)
-for key, value in stats.to_dict().items():
+for key, value in asdict(stats).items():
     print(f"  {key}: {value}")

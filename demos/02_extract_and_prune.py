@@ -11,7 +11,6 @@ import random
 from kgr import (
     KnowledgeGraph,
     PprConfig,
-    SubgraphRequest,
     extract_and_prune,
     khop_subgraph,
     personalized_pagerank,
@@ -34,7 +33,7 @@ print("full graph:", len(g.entities), "nodes /", len(g.triples), "triples")
 
 # Step 1: the 2-hop ball around two seeds.
 seeds = ["core0", "core1"]
-ball = khop_subgraph(g, SubgraphRequest(seeds=tuple(seeds), hops=2))
+ball = khop_subgraph(g, seeds, hops=2)
 print("2-hop ball:", len(ball.entities), "nodes")
 
 # Step 2: walk scores.  The restart mass (1 - alpha) keeps the walker

@@ -19,7 +19,6 @@ from .ingest import (
     FORMAT_NT,
     FORMAT_TSV,
     ParseError,
-    SubgraphRequest,
     khop_subgraph,
     parse_triples,
     read_graph,
@@ -68,7 +67,6 @@ from .sweep import retrieve_for_question, run_sweep
 from .textgen import (
     GeneratedAnswer,
     GenerationClient,
-    GenerationError,
     EmptyAnswerError,
     PromptTemplate,
     TemplateError,
@@ -88,7 +86,6 @@ __all__ = [
     "FORMAT_TSV",
     "GeneratedAnswer",
     "GenerationClient",
-    "GenerationError",
     "GraphStats",
     "HashedBagEmbedder",
     "KnowledgeGraph",
@@ -106,7 +103,6 @@ __all__ = [
     "ScoredSubgraph",
     "ServiceEmbedder",
     "SimilarityReport",
-    "SubgraphRequest",
     "TemplateError",
     "TransportError",
     "Triple",

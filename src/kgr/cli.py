@@ -26,6 +26,7 @@ finished with failed cells, 4 transport failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as _dt
 import json
 import logging
@@ -96,8 +97,6 @@ def _config_defaults(path: str, command: str) -> dict:
     values pass through the same ``type=`` casts as flags; booleans stay
     as they are and null keys are left out.
     """
-    if not os.path.isfile(path):
-        raise ValueError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = yaml.safe_load(fh)
@@ -129,14 +128,7 @@ def _need(args: argparse.Namespace, key: str):
     return value
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.isfile(path):
-        raise ValueError(f"{what} not found: {path}")
-    return path
-
-
 def _read_graph_checked(path: str, fmt: str) -> KnowledgeGraph:
-    _require_file(path, "graph file")
     try:
         return read_graph(path, fmt)
     except ParseError as exc:
@@ -144,7 +136,6 @@ def _read_graph_checked(path: str, fmt: str) -> KnowledgeGraph:
 
 
 def _load_queries(path: str) -> list[dict]:
-    _require_file(path, "queries file")
     queries: list[dict] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -198,13 +189,11 @@ def _retrieval_settings(args: argparse.Namespace) -> dict:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = _read_graph_checked(_need(args, "graph"), args.format)
-    _emit(_dump_json(graph_stats(g).to_dict()), args.out)
+    _emit(_dump_json(dataclasses.asdict(graph_stats(g))), args.out)
     return 0
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    if args.hops < 0:
-        raise ValueError("hops must be >= 0")
     config = PprConfig(
         alpha=args.alpha,
         tol=args.tol,
@@ -216,14 +205,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         raise ValueError("provide exactly one of --seeds or --queries")
 
     def run(seeds: list[str]) -> KnowledgeGraph:
-        try:
-            return extract_and_prune(g, seeds, args.hops, config, args.undirected)
-        except EntityNotFoundError as exc:
-            raise ValueError(f"seed entity not in graph: {exc.args[0]}")
+        return extract_and_prune(g, seeds, args.hops, config, args.undirected)
 
     if args.seeds is not None:
-        if not args.seeds:
-            raise ValueError("at least one seed is required")
         _emit(serialize(run(args.seeds)), args.out)
         return 0
 
@@ -290,8 +274,6 @@ def _aligned_perturbed(g: KnowledgeGraph, gp: KnowledgeGraph) -> KnowledgeGraph:
 
 def _cmd_measure(args: argparse.Namespace) -> int:
     g = _read_graph_checked(_need(args, "graph"), args.format)
-    if not g.triples:
-        raise ValueError("original graph has no triples; nothing to score against")
     method, level, seed = args.method, args.level, args.seed
     if args.perturbed:
         gp = _aligned_perturbed(g, _read_graph_checked(args.perturbed, args.format))
@@ -329,7 +311,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    retrieved_path = _require_file(_need(args, "retrieved"), "retrieved file")
+    retrieved_path = _need(args, "retrieved")
     url = args.gen_url or os.environ.get(GEN_URL_ENV)
     if not url:
         raise ValueError(f"generation endpoint required (--gen-url or {GEN_URL_ENV})")
@@ -339,8 +321,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if (system_path is None) != (body_path is None):
         raise ValueError("--template-system and --template-body go together")
     if system_path:
-        _require_file(system_path, "template system file")
-        _require_file(body_path, "template body file")
         template = PromptTemplate.from_files(system_path, body_path)
     else:
         template = PromptTemplate.default()
@@ -600,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 4
-    except (EntityNotFoundError, KeyError) as exc:
+    except EntityNotFoundError as exc:
         print(f"error: not found: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

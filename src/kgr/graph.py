@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -169,8 +169,7 @@ class KnowledgeGraph:
 
         Entry i belongs to the i-th entity in lexicographic order.  Each
         relation's clustering is taken on its undirected simple projection
-        (self-loops dropped), as :func:`local_clustering` does on
-        :func:`relation_subgraph`; entities the relation does not touch
+        (self-loops dropped); entities the relation does not touch
         contribute 0.  A graph whose relation set is empty yields the zero
         vector.  The array is read-only.
         """
@@ -185,14 +184,8 @@ class KnowledgeGraph:
                     adj.setdefault(t.subject, set()).add(t.object)
                     adj.setdefault(t.object, set()).add(t.subject)
             for r in relations:  # sorted, so each entry's float sum has a fixed order
-                adj = adjacency[r]
-                for v, nbrs in adj.items():
-                    deg = len(nbrs)
-                    if deg < 2:
-                        continue
-                    # Every edge among v's neighbours is seen from both ends.
-                    tri = sum(len(adj[u] & nbrs) for u in nbrs) // 2
-                    acc[index[v]] += 2.0 * tri / (deg * (deg - 1))
+                for v, c in _local_clustering(adjacency[r]):
+                    acc[index[v]] += c
             acc /= len(relations)
         acc.flags.writeable = False
         return acc
@@ -226,37 +219,17 @@ class GraphStats:
     clustering_coefficient: float
     density: float
 
-    def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-            "avg_degree": self.avg_degree,
-            "clustering_coefficient": self.clustering_coefficient,
-            "density": self.density,
-        }
 
-
-def local_clustering(g: KnowledgeGraph, entity: str) -> float:
-    """Local clustering coefficient on the undirected simple projection.
-
-    c(v) = 2 * tri(v) / (deg(v) * (deg(v) - 1)), and 0.0 when deg(v) < 2.
-    Self-loops are ignored.
-    """
-    if entity not in g.entities:
-        raise EntityNotFoundError(entity)
-    adj = g.simple_neighbors
-    nbrs = adj[entity]
-    deg = len(nbrs)
-    if deg < 2:
-        return 0.0
-    ordered = sorted(nbrs)
-    tri = 0
-    for i, u in enumerate(ordered):
-        u_adj = adj[u]
-        for w in ordered[i + 1 :]:
-            if w in u_adj:
-                tri += 1
-    return 2.0 * tri / (deg * (deg - 1))
+def _local_clustering(adj: Mapping[str, AbstractSet[str]]) -> Iterator[tuple[str, float]]:
+    """``(v, c(v))`` for every node of degree >= 2 in an undirected simple
+    adjacency, c(v) = 2 * tri(v) / (deg(v) * (deg(v) - 1)); c is 0 for the
+    other nodes."""
+    for v, nbrs in adj.items():
+        deg = len(nbrs)
+        if deg >= 2:
+            # Every edge among v's neighbours is seen from both ends.
+            tri = sum(len(adj[u] & nbrs) for u in nbrs) // 2
+            yield v, 2.0 * tri / (deg * (deg - 1))
 
 
 def relation_subgraph(g: KnowledgeGraph, relation: str) -> KnowledgeGraph:
@@ -291,7 +264,8 @@ def graph_stats(g: KnowledgeGraph) -> GraphStats:
         (t.subject, t.object) for t in g.triples if t.subject != t.object
     }
     avg_degree = 2.0 * len(undirected_simple) / n
-    clustering = sum(local_clustering(g, v) for v in g.entity_order) / n
+    # Summed in entity order; the nodes left out would each add 0.0.
+    clustering = sum(c for _, c in sorted(_local_clustering(g.simple_neighbors))) / n
     density = len(directed_simple) / (n * (n - 1)) if n > 1 else 0.0
     return GraphStats(
         node_count=n,

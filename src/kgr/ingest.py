@@ -16,8 +16,7 @@ dropped on a serialize/parse round trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -110,39 +109,30 @@ def read_graph(path: str, fmt: str = FORMAT_TSV) -> KnowledgeGraph:
         return parse_triples(fh, fmt)
 
 
-@dataclass(frozen=True)
-class SubgraphRequest:
-    """Seed entities plus a hop budget for neighborhood extraction."""
-
-    seeds: tuple[str, ...]
-    hops: int = 2
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("at least one seed entity is required")
-        if self.hops < 0:
-            raise ValueError("hops must be >= 0")
-
-
-def khop_subgraph(g: KnowledgeGraph, request: SubgraphRequest) -> KnowledgeGraph:
+def khop_subgraph(g: KnowledgeGraph, seeds: Sequence[str], hops: int = 2) -> KnowledgeGraph:
     """Neighborhood of the seeds within ``hops`` undirected steps.
 
     A triple is kept exactly when both endpoints lie within the hop budget
     of some seed.  Seeds are always part of the result, even when no triple
-    survives.  Unknown seeds raise ``EntityNotFoundError``.
+    survives.  Raises ``ValueError`` on an empty seed list or a negative
+    hop budget and ``EntityNotFoundError`` on unknown seeds.
 
     Each hop is one vectorized step over the graph's endpoint arrays
     (:attr:`KnowledgeGraph.endpoint_ids`).  They are cached on the
     immutable graph, so many extractions from one graph build them once.
     """
+    if not seeds:
+        raise ValueError("at least one seed entity is required")
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
     index = g.entity_index
-    for seed in request.seeds:
+    for seed in seeds:
         if seed not in index:
             raise EntityNotFoundError(seed)
     subjects, objects = g.endpoint_ids
     ball = np.zeros(len(index), dtype=bool)
-    ball[[index[seed] for seed in request.seeds]] = True
-    for _ in range(request.hops):
+    ball[[index[seed] for seed in seeds]] = True
+    for _ in range(hops):
         touch = ball[subjects] | ball[objects]
         ball[subjects[touch]] = True
         ball[objects[touch]] = True

@@ -15,6 +15,7 @@ the pruned graph is built without re-sorting them.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import EntityNotFoundError, KnowledgeGraph
-from .ingest import SubgraphRequest, khop_subgraph
+from .ingest import khop_subgraph
 
 logger = logging.getLogger(__name__)
 
@@ -95,12 +96,11 @@ def personalized_pagerank(
         if seed not in g.entities:
             raise EntityNotFoundError(seed)
 
-    n = len(g.entity_order)
-    index = g.entity_index
-    s = np.zeros(n, dtype=np.float64)
+    order = g.entity_order
+    s = np.zeros(len(order), dtype=np.float64)
     share = 1.0 / len(seed_set)
     for seed in seed_set:
-        s[index[seed]] = share
+        s[bisect_left(order, seed)] = share  # entity_order is sorted
 
     mat, dangling = _transition_matrix(g, undirected)
     alpha = config.alpha
@@ -154,7 +154,7 @@ def extract_and_prune(
     pruning then uses the last iterate.
     """
     seeds = tuple(seeds)  # read twice, so an iterator must be materialized
-    neighborhood = khop_subgraph(g, SubgraphRequest(seeds, hops))
+    neighborhood = khop_subgraph(g, seeds, hops)
     ranked = personalized_pagerank(neighborhood, seeds, config, undirected)
     if not ranked.converged:
         logger.warning(

@@ -4,7 +4,7 @@ Graph elements (entities and triples) are verbalized to short text,
 embedded alongside the query, ranked by cosine similarity, and the top
 ranks receive integer prizes k, k-1, ..., 1.  Two providers exist: a
 remote HTTP service and a fully deterministic hashed bag-of-tokens
-fallback that needs no network at all.
+fallback that needs no network at all and memoizes its vectors.
 """
 
 from __future__ import annotations
@@ -79,30 +79,29 @@ class HashedBagEmbedder:
 
     Token order does not matter and no state is ever learned, so equal
     texts map to bit-identical unit vectors on every platform.  Because
-    the embedding is pure, :meth:`embed_cached` can memoize it exactly;
-    the memo lives as long as the instance.
+    the embedding is pure, :meth:`embed` memoizes it exactly: each
+    distinct text is embedded once per instance, and the memo lives as
+    long as the instance.
     """
 
     dimension: int = FALLBACK_DIMENSION
     memo: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # "embedded": texts embed_cached had to embed; "hits": texts the memo answered.
+    # "embedded": texts the memo lacked; "hits": texts the memo answered.
     memo_stats: Counter = field(
         default_factory=Counter, init=False, repr=False, compare=False
     )
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        # Each distinct token is hashed once per call.
-        bucket = functools.cache(functools.partial(_token_bucket, dimension=self.dimension))
-        return [self._embed_one(t, bucket) for t in texts]
-
-    def embed_cached(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Like :meth:`embed`, but each distinct text is embedded once per
-        instance.  The vectors are shared, so they are read-only."""
+        """One unit vector per text.  The vectors are shared through the
+        memo, so they are read-only."""
         memo = self.memo
         new = [t for t in dict.fromkeys(texts) if t not in memo]
-        for text, vec in zip(new, self.embed(new)):
+        # Each distinct token is hashed once per call.
+        bucket = functools.cache(functools.partial(_token_bucket, dimension=self.dimension))
+        for text in new:
+            vec = self._embed_one(text, bucket)
             vec.flags.writeable = False
             memo[text] = vec
         self.memo_stats["embedded"] += len(new)
@@ -275,16 +274,13 @@ def rank_graph_elements(g, query: str, provider=None) -> tuple[list[str], list[T
 
     Returns ``(ranked_nodes, ranked_edges)`` id lists, most relevant
     first, by the rule of :func:`rank_elements`.  Uses a fresh
-    deterministic fallback embedder unless a provider is given; a
-    provider with an ``embed_cached`` method embeds each text once over
-    its lifetime.
+    deterministic fallback embedder unless a provider is given.
     """
     provider = provider or HashedBagEmbedder()
     nodes, edges = g.entity_order, g.triples  # both already in id order
     label = {e: element_label(e) for e in (*nodes, *g.relations)}.__getitem__
     texts = [query, *map(label, nodes), *(_triple_text(t, label) for t in edges)]
-    embed = getattr(provider, "embed_cached", provider.embed)
-    vectors = np.stack(embed(texts))
+    vectors = np.stack(provider.embed(texts))
     query_vec = vectors[0]
     node_order, _ = _ranked_rows(vectors[1 : 1 + len(nodes)], query_vec)
     edge_order, _ = _ranked_rows(vectors[1 + len(nodes) :], query_vec)

@@ -45,11 +45,7 @@ class TemplateError(ValueError):
     """Template is missing a slot or repeats one."""
 
 
-class GenerationError(TransportError):
-    """The generation endpoint failed for good."""
-
-
-class EmptyAnswerError(GenerationError):
+class EmptyAnswerError(TransportError):
     """The endpoint answered with an empty completion."""
 
 
@@ -169,9 +165,9 @@ class GenerationClient:
     def generate(self, prompt: str) -> GeneratedAnswer:
         """POST the prompt and return the completion.
 
-        Raises :class:`GenerationError` (with the attempt count) when the
-        endpoint keeps failing, and :class:`EmptyAnswerError` when it
-        succeeds with an empty completion.
+        Raises :class:`TransportError` (with the attempt count) when the
+        endpoint keeps failing or its reply has no ``text``, and
+        :class:`EmptyAnswerError` when it succeeds with an empty completion.
         """
         payload = {
             "prompt": prompt,
@@ -180,21 +176,18 @@ class GenerationClient:
         }
         start = time.perf_counter()
         with self._gate:
-            try:
-                body, retries = post_json(
-                    self.url,
-                    payload,
-                    token=self.token,
-                    timeout=self.timeout,
-                    max_attempts=self.max_attempts,
-                    backoff=self.backoff,
-                )
-            except TransportError as exc:
-                raise GenerationError(exc.message, attempts=exc.attempts) from exc
+            body, retries = post_json(
+                self.url,
+                payload,
+                token=self.token,
+                timeout=self.timeout,
+                max_attempts=self.max_attempts,
+                backoff=self.backoff,
+            )
         latency = time.perf_counter() - start
         text = body.get("text")
         if not isinstance(text, str):
-            raise GenerationError(
+            raise TransportError(
                 "malformed generation response: missing 'text'", attempts=retries + 1
             )
         if not text.strip():

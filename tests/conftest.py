@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded random graphs and a local mock HTTP server."""
+"""Shared test helpers: seeded random graphs, a per-node clustering
+reference and a local mock HTTP server."""
 
 from __future__ import annotations
 
@@ -32,6 +33,27 @@ def random_graph(
             continue
         triples.add((s, rng.choice(relations), o))
     return KnowledgeGraph.from_triples(triples, extra_entities=nodes)
+
+
+def local_clustering(g: KnowledgeGraph, entity: str) -> float:
+    """Per-node reference for the library's clustering: the neighbour-pair
+    loop on the undirected simple projection (self-loops ignored).
+
+    c(v) = 2 * tri(v) / (deg(v) * (deg(v) - 1)), and 0.0 when deg(v) < 2.
+    """
+    adj = g.simple_neighbors
+    nbrs = adj[entity]
+    deg = len(nbrs)
+    if deg < 2:
+        return 0.0
+    ordered = sorted(nbrs)
+    tri = 0
+    for i, u in enumerate(ordered):
+        u_adj = adj[u]
+        for w in ordered[i + 1 :]:
+            if w in u_adj:
+                tri += 1
+    return 2.0 * tri / (deg * (deg - 1))
 
 
 class _MockHandler(BaseHTTPRequestHandler):

@@ -698,6 +698,15 @@ class TestGenerate:
         retrieved = self.make_retrieved(graph_file, queries_file, tmp_path)
         assert main(["generate", "--retrieved", str(retrieved)]) == 2
 
+    @pytest.mark.parametrize("body", [{"text": "   "}, {"completion": "wrong key"}])
+    def test_empty_or_textless_answer_exits_4(
+        self, graph_file, queries_file, tmp_path, mock_service, body
+    ):
+        retrieved = self.make_retrieved(graph_file, queries_file, tmp_path)
+        svc = mock_service(lambda payload: (200, body))
+        code = main(["generate", "--retrieved", str(retrieved), "--gen-url", svc.url])
+        assert code == 4
+
     def test_empty_retrieved_file(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -735,6 +744,37 @@ class TestTopLevel:
         )
         assert code == 2
         assert not out.exists()
+
+    def test_errors_the_library_or_open_raise_exit_2(self, graph_file, tmp_path, capsys):
+        path, _ = graph_file
+        missing = str(tmp_path / "nope.tsv")
+        cases = [
+            (["stats", "--graph", missing], "error: [Errno 2] No such file or directory"),
+            (["stats", "--graph", path, "--config", missing], "error: [Errno 2]"),
+            (["retrieve", "--graph", path, "--queries", missing], "error: [Errno 2]"),
+            (["extract", "--graph", path, "--seeds", "ghost"], "error: not found: 'ghost'"),
+            (["extract", "--graph", path, "--seeds", ""], "error: at least one seed entity"),
+            (["extract", "--graph", path, "--seeds", "e0", "--hops", "-1"], "error: hops must be >= 0"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith(message), argv
+
+    def test_only_entity_lookups_map_to_not_found(self, graph_file, monkeypatch):
+        # A plain KeyError is a bug in the program, not a missing entity.
+        path, _ = graph_file
+
+        def raising(error):
+            def handler(args):
+                raise error
+
+            return handler
+
+        monkeypatch.setitem(kgr.cli._HANDLERS, "stats", raising(kgr.EntityNotFoundError("x")))
+        assert main(["stats", "--graph", path]) == 2
+        monkeypatch.setitem(kgr.cli._HANDLERS, "stats", raising(KeyError("x")))
+        with pytest.raises(KeyError):
+            main(["stats", "--graph", path])
 
     def test_malformed_graph_reports_config_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"

@@ -9,15 +9,13 @@ import networkx as nx
 import pytest
 
 from kgr.graph import (
-    EntityNotFoundError,
     KnowledgeGraph,
     RelationNotFoundError,
     Triple,
     graph_stats,
-    local_clustering,
     relation_subgraph,
 )
-from conftest import random_graph
+from conftest import local_clustering, random_graph
 
 DIAMOND = [
     ("A", "r1", "B"),
@@ -105,20 +103,26 @@ def test_neighbors_excludes_self_without_loop():
     assert "A" in looped.undirected_neighbors["A"]
 
 
-def test_unknown_entity_raises():
-    g = KnowledgeGraph.from_triples(DIAMOND)
-    with pytest.raises(EntityNotFoundError):
-        local_clustering(g, "Z")
+def _one_relation(g: KnowledgeGraph) -> KnowledgeGraph:
+    """``g`` with every triple relabeled to one relation, so that its
+    ``mean_relation_clustering`` is the per-node clustering of ``g``."""
+    return KnowledgeGraph.from_triples(
+        ((s, "r", o) for s, _, o in g.triples), extra_entities=g.entities
+    )
 
 
 def test_clustering_triangle_and_star():
     tri = _triangle()
     for v in "ABC":
         assert local_clustering(tri, v) == 1.0
+    assert list(tri.mean_relation_clustering) == [1.0, 1.0, 1.0]
+    assert graph_stats(tri).clustering_coefficient == 1.0
     star = KnowledgeGraph.from_triples(
         [("hub", "r", f"leaf{i}") for i in range(4)]
     )
     assert local_clustering(star, "hub") == 0.0
+    assert not star.mean_relation_clustering.any()
+    assert graph_stats(star).clustering_coefficient == 0.0
 
 
 def test_clustering_matches_neighbor_pair_count():
@@ -130,7 +134,8 @@ def test_clustering_matches_neighbor_pair_count():
         und = {
             frozenset((s, o)) for s, _, o in g.triples if s != o
         }
-        for v in g.entity_order:
+        per_node = _one_relation(g).mean_relation_clustering
+        for i, v in enumerate(g.entity_order):
             nbrs = {next(iter(e - {v})) for e in und if v in e}
             deg = len(nbrs)
             if deg < 2:
@@ -144,6 +149,16 @@ def test_clustering_matches_neighbor_pair_count():
             got = local_clustering(g, v)
             assert got == pytest.approx(expected)
             assert 0.0 <= got <= 1.0
+            assert per_node[i] == got
+
+
+def test_stats_clustering_is_the_per_node_mean_bit_for_bit():
+    # The per-node reference summed in entity order, as graph_stats documents.
+    rng = random.Random(53)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 16), rng.randint(0, 50), allow_self_loops=True)
+        expected = sum(local_clustering(g, v) for v in g.entity_order) / len(g.entities)
+        assert graph_stats(g).clustering_coefficient.hex() == expected.hex()
 
 
 def test_relation_subgraph_preserves_entities():

@@ -12,7 +12,6 @@ from kgr.graph import EntityNotFoundError, KnowledgeGraph, Triple
 from kgr.ingest import (
     FORMAT_NT,
     ParseError,
-    SubgraphRequest,
     khop_subgraph,
     parse_triples,
     serialize,
@@ -93,14 +92,14 @@ CHAIN = [("A", "r", "B"), ("B", "r", "C"), ("C", "r", "D")]
 
 def test_khop_chain():
     g = KnowledgeGraph.from_triples(CHAIN)
-    sub = khop_subgraph(g, SubgraphRequest(("A",), hops=2))
+    sub = khop_subgraph(g, ("A",), hops=2)
     assert sub.entities == {"A", "B", "C"}
     assert sub.triples == (Triple("A", "r", "B"), Triple("B", "r", "C"))
 
 
 def test_khop_isolated_seed():
     g = KnowledgeGraph.from_triples(CHAIN, extra_entities=["lonely"])
-    sub = khop_subgraph(g, SubgraphRequest(("lonely",), hops=1))
+    sub = khop_subgraph(g, ("lonely",), hops=1)
     assert sub.entities == {"lonely"}
     assert sub.triples == ()
 
@@ -108,14 +107,16 @@ def test_khop_isolated_seed():
 def test_khop_unknown_seed():
     g = KnowledgeGraph.from_triples(CHAIN)
     with pytest.raises(EntityNotFoundError):
-        khop_subgraph(g, SubgraphRequest(("Z",), hops=1))
+        khop_subgraph(g, ("Z",), hops=1)
 
 
 def test_khop_request_validation():
-    with pytest.raises(ValueError):
-        SubgraphRequest((), hops=1)
-    with pytest.raises(ValueError):
-        SubgraphRequest(("A",), hops=-1)
+    g = KnowledgeGraph.from_triples(CHAIN)
+    with pytest.raises(ValueError, match="at least one seed"):
+        khop_subgraph(g, (), hops=1)
+    with pytest.raises(ValueError, match="hops must be >= 0"):
+        khop_subgraph(g, ("A",), hops=-1)
+    assert khop_subgraph(g, ["A"]) == khop_subgraph(g, ("A",), hops=2)
 
 
 def _bfs_distances(g: KnowledgeGraph, seeds) -> dict[str, int]:
@@ -141,7 +142,7 @@ def test_khop_matches_bfs_oracle():
         g = random_graph(rng, 14, 25)
         seeds = tuple(rng.sample(sorted(g.entities), rng.randint(1, 3)))
         k = rng.randint(0, 3)
-        sub = khop_subgraph(g, SubgraphRequest(seeds, hops=k))
+        sub = khop_subgraph(g, seeds, hops=k)
         dist = _bfs_distances(g, seeds)
         expected = tuple(
             sorted(
@@ -162,7 +163,7 @@ def test_khop_monotone_in_hops():
         seeds = (sorted(g.entities)[0],)
         previous: set = set()
         for k in range(4):
-            sub = khop_subgraph(g, SubgraphRequest(seeds, hops=k))
+            sub = khop_subgraph(g, seeds, hops=k)
             current = set(sub.triples)
             assert previous <= current
             previous = current

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgr.graph import KnowledgeGraph, local_clustering, relation_subgraph
+from kgr.graph import KnowledgeGraph, relation_subgraph
 from kgr.metrics import (
     ats,
     compare,
@@ -20,7 +20,7 @@ from kgr.metrics import (
     sd2,
 )
 from kgr.perturb import METHODS, PerturbationSpec, perturb
-from conftest import random_graph
+from conftest import local_clustering, random_graph
 
 
 def test_distance_to_similarity_anchors():

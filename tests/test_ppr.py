@@ -15,7 +15,7 @@ from scipy import sparse
 
 from kgr import ppr
 from kgr.graph import EntityNotFoundError, KnowledgeGraph
-from kgr.ingest import SubgraphRequest, khop_subgraph
+from kgr.ingest import khop_subgraph
 from kgr.ppr import PprConfig, extract_and_prune, personalized_pagerank, prune_by_ppr
 from conftest import random_graph
 
@@ -297,7 +297,7 @@ def test_extraction_stages_match_reference_loops(triples, isolated, hops, undire
     g = KnowledgeGraph.from_triples(triples, extra_entities=isolated)
     assume(g.entities)
     seeds = tuple(data.draw(st.lists(st.sampled_from(g.entity_order), min_size=1, max_size=4)))
-    sub = khop_subgraph(g, SubgraphRequest(seeds, hops))
+    sub = khop_subgraph(g, seeds, hops)
     ref_sub = reference_khop(g, seeds, hops)
     assert_same_graph(sub, ref_sub)
 

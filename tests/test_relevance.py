@@ -284,17 +284,27 @@ def test_rank_elements_is_cosine_on_unnormalized_vectors():
     assert rank_elements(q, {}) == []
 
 
-def test_embed_cached_matches_fresh_and_is_read_only():
+def test_embed_memo_shares_read_only_vectors_and_counts_hits(monkeypatch):
     emb = HashedBagEmbedder()
     texts = ["alpha beta", "gamma", "alpha beta", "delta"]
-    cached = emb.embed_cached(texts)
-    fresh = HashedBagEmbedder().embed(texts)
-    assert all(np.array_equal(c, f) for c, f in zip(cached, fresh))
+    first = emb.embed(texts)
+    one_by_one = [HashedBagEmbedder().embed([t])[0] for t in texts]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, one_by_one))
+    assert first[0] is first[2]
     assert emb.memo_stats == {"embedded": 3, "hits": 1}
-    again = emb.embed_cached(["gamma", "epsilon"])
-    assert again[0] is cached[1]
+    hashed = []
+    original = relevance._token_bucket
+
+    def counted(token, dimension):
+        hashed.append(token)
+        return original(token, dimension)
+
+    monkeypatch.setattr(relevance, "_token_bucket", counted)
+    again = emb.embed(["gamma", "epsilon"])
+    assert hashed == ["epsilon"]  # a memo hit hashes nothing
+    assert again[0] is first[1]
     assert emb.memo_stats == {"embedded": 4, "hits": 2}
-    for vec in cached + again:
+    for vec in first + again:
         assert not vec.flags.writeable
         with pytest.raises(ValueError):
             vec[0] = 1.0

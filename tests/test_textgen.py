@@ -13,7 +13,6 @@ from kgr.graph import KnowledgeGraph
 from kgr.textgen import (
     EmptyAnswerError,
     GenerationClient,
-    GenerationError,
     PromptTemplate,
     TemplateError,
     build_prompt,
@@ -160,7 +159,7 @@ class TestGenerationClient:
     def test_persistent_failure_counts_attempts(self, mock_service):
         svc = mock_service(lambda payload: (503, {"error": "down"}))
         client = GenerationClient(url=svc.url, backoff=0.01)
-        with pytest.raises(GenerationError) as exc_info:
+        with pytest.raises(TransportError) as exc_info:
             client.generate("p")
         assert exc_info.value.attempts == 3
         assert svc.calls == 3
@@ -172,7 +171,7 @@ class TestGenerationClient:
 
     def test_missing_text_field_fails(self, mock_service):
         svc = mock_service(lambda payload: (200, {"completion": "wrong key"}))
-        with pytest.raises(GenerationError):
+        with pytest.raises(TransportError):
             GenerationClient(url=svc.url, backoff=0.01).generate("p")
 
     def test_in_flight_cap_respected(self, mock_service):
