@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -116,17 +116,20 @@ class KnowledgeGraph:
         Every kept triple must have both endpoints kept.  A subsequence of
         the sorted, duplicate-free triple tuple is still sorted and
         duplicate-free, so nothing is re-sorted; the child's entity order
-        and endpoint arrays are carried over instead of rebuilt.
+        and endpoint arrays are carried over instead of rebuilt.  Members
+        are gathered by the kept positions, so the cost follows the child's
+        size, not the parent's.
         """
-        entity_order = tuple(compress(self.entity_order, entity_mask.tolist()))
-        triples = tuple(compress(self.triples, triple_mask.tolist()))
+        kept_triples = np.flatnonzero(triple_mask)
+        entity_order = _gather(self.entity_order, np.flatnonzero(entity_mask))
+        triples = _gather(self.triples, kept_triples)
         child = KnowledgeGraph(
             entities=frozenset(entity_order),
-            relations=frozenset(t.relation for t in triples),
+            relations=frozenset(map(itemgetter(1), triples)),
             triples=triples,
         )
         remap = np.cumsum(entity_mask, dtype=np.intp) - 1
-        subjects, objects = (remap[ids[triple_mask]] for ids in self.endpoint_ids)
+        subjects, objects = (remap[ids[kept_triples]] for ids in self.endpoint_ids)
         subjects.flags.writeable = objects.flags.writeable = False
         vars(child).update(entity_order=entity_order, endpoint_ids=(subjects, objects))
         return child
@@ -207,6 +210,14 @@ class KnowledgeGraph:
             vec = np.zeros(n, dtype=np.float64)
         vec.flags.writeable = False
         return vec
+
+
+def _gather(items: tuple, positions: np.ndarray) -> tuple:
+    """``items`` at the given positions, in their order, as a tuple."""
+    kept = positions.tolist()
+    if len(kept) < 2:  # itemgetter needs an index and returns a bare item for one
+        return tuple(items[i] for i in kept)
+    return itemgetter(*kept)(items)
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def khop_subgraph(g: KnowledgeGraph, seeds: Sequence[str], hops: int = 2) -> Kno
     ball = np.zeros(len(index), dtype=bool)
     ball[[index[seed] for seed in seeds]] = True
     for _ in range(hops):
-        touch = ball[subjects] | ball[objects]
+        touch = np.flatnonzero(ball[subjects] | ball[objects])
         ball[subjects[touch]] = True
         ball[objects[touch]] = True
     # Every ball member but a seed is an endpoint of a kept triple.

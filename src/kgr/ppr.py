@@ -8,8 +8,9 @@ personalization vector s each step, so the scores always sum to one.
 
 The transition matrix and the pruning mask are built from the graph's
 endpoint arrays (:attr:`KnowledgeGraph.endpoint_ids`), which are cached
-on the immutable graph; pruning keeps a subsequence of the triples, so
-the pruned graph is built without re-sorting them.
+on the immutable graph; pruning thresholds the score vector itself and
+keeps a subsequence of the triples, so the pruned graph is built without
+re-sorting them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,13 +48,22 @@ class PprConfig:
             raise ValueError("prune_threshold must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PprScores:
-    """Per-entity stationary scores plus iteration diagnostics."""
+    """Per-entity stationary scores plus iteration diagnostics.
 
-    scores: dict[str, float]
+    ``vector[i]`` is the score of ``entity_order[i]``; :attr:`scores` holds
+    the same values as a dict, built on first read.
+    """
+
+    entity_order: tuple[str, ...]
+    vector: np.ndarray
     iterations_used: int
     converged: bool
+
+    @cached_property
+    def scores(self) -> dict[str, float]:
+        return dict(zip(self.entity_order, self.vector.tolist()))
 
 
 def _transition_matrix(
@@ -115,8 +126,8 @@ def personalized_pagerank(
         if delta < config.tol:
             converged = True
             break
-    scores = dict(zip(g.entity_order, p.tolist()))
-    return PprScores(scores=scores, iterations_used=iterations, converged=converged)
+    p.flags.writeable = False
+    return PprScores(order, p, iterations, converged)
 
 
 def prune_by_ppr(
@@ -128,15 +139,21 @@ def prune_by_ppr(
 
     Surviving nodes and edges are carried over unchanged; nodes left
     isolated by the cut remain in the graph.  Every entity must have a
-    score entry (``ValueError`` otherwise).
+    score entry (``ValueError`` otherwise).  Scores that
+    :func:`personalized_pagerank` computed on ``g`` itself are thresholded
+    as a vector, without a per-entity lookup.
     """
-    table = scores.scores if isinstance(scores, PprScores) else scores
-    missing = g.entities - table.keys()
-    if missing:
-        raise ValueError(
-            f"scores missing for {len(missing)} entities, e.g. {sorted(missing)[:3]}"
-        )
-    kept = np.array([table[e] for e in g.entity_order]) >= threshold
+    if isinstance(scores, PprScores) and scores.entity_order == g.entity_order:
+        values = scores.vector
+    else:
+        table = scores.scores if isinstance(scores, PprScores) else scores
+        missing = g.entities - table.keys()
+        if missing:
+            raise ValueError(
+                f"scores missing for {len(missing)} entities, e.g. {sorted(missing)[:3]}"
+            )
+        values = np.array([table[e] for e in g.entity_order])
+    kept = values >= threshold
     subjects, objects = g.endpoint_ids
     return g._induced(kept[subjects] & kept[objects], kept)
 
@@ -150,16 +167,19 @@ def extract_and_prune(
 ) -> KnowledgeGraph:
     """K-hop extraction around ``seeds`` followed by PPR pruning.
 
-    Logs a warning when PPR stops at ``config.max_iter`` unconverged; the
-    pruning then uses the last iterate.
+    Logs a warning naming the seeds (the first three) when PPR stops at
+    ``config.max_iter`` unconverged; the pruning then uses the last iterate.
     """
     seeds = tuple(seeds)  # read twice, so an iterator must be materialized
     neighborhood = khop_subgraph(g, seeds, hops)
     ranked = personalized_pagerank(neighborhood, seeds, config, undirected)
     if not ranked.converged:
+        shown = ", ".join(seeds[:3]) + (f" (+{len(seeds) - 3} more)" if len(seeds) > 3 else "")
         logger.warning(
-            "PPR did not converge in %d iterations (tol %g); pruning on the last iterate",
+            "PPR did not converge in %d iterations (tol %g) for seeds %s; "
+            "pruning on the last iterate",
             ranked.iterations_used,
             config.tol,
+            shown,
         )
     return prune_by_ppr(neighborhood, ranked, config.prune_threshold)

@@ -9,8 +9,8 @@ fallback that needs no network at all and memoizes its vectors.
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -95,38 +95,52 @@ class HashedBagEmbedder:
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         """One unit vector per text.  The vectors are shared through the
-        memo, so they are read-only."""
+        memo, so they are read-only.
+
+        The texts the memo lacks are embedded together: one ``bincount``
+        over ``row * dimension + bucket`` builds all their signed bags, a
+        row whose signed counts cancel out falls back to its unsigned bag,
+        and every row is divided by its norm.  Bag entries are exact
+        integers, so the sums and norms do not depend on summation order.
+        """
         memo = self.memo
         new = [t for t in dict.fromkeys(texts) if t not in memo]
-        # Each distinct token is hashed once per call.
-        bucket = functools.cache(functools.partial(_token_bucket, dimension=self.dimension))
-        for text in new:
-            vec = self._embed_one(text, bucket)
-            vec.flags.writeable = False
-            memo[text] = vec
+        if new:
+            memo.update(zip(new, self._embed_rows(new)))
         self.memo_stats["embedded"] += len(new)
         self.memo_stats["hits"] += len(texts) - len(new)
         return [memo[t] for t in texts]
 
-    def _embed_one(self, text: str, bucket) -> np.ndarray:
-        if not text or not text.strip():
+    def _embed_rows(self, texts: list[str]) -> np.ndarray:
+        """Read-only matrix of the texts' unit vectors, one row per text."""
+        if not all(text and text.strip() for text in texts):
             raise ValueError("cannot embed empty text")
-        toks = _tokens(text)
-        if not toks:
-            # Punctuation-only input still deserves a stable direction.
-            toks = [text.strip()]
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for tok in toks:
-            idx, sign = bucket(tok)
-            vec[idx] += sign
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            # Signed counts cancelled out; fall back to an unsigned bag.
-            for tok in toks:
-                idx, _ = bucket(tok)
-                vec[idx] += 1.0
-            norm = float(np.linalg.norm(vec))
-        return vec / norm
+        # Punctuation-only input still deserves a stable direction.
+        tokens = [_tokens(text) or [text.strip()] for text in texts]
+        flat = list(itertools.chain.from_iterable(tokens))
+        # Each distinct token is hashed once per call.
+        distinct = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
+        hashed = (_token_bucket(tok, self.dimension) for tok in distinct)
+        buckets, signs = map(np.array, zip(*hashed))
+        which = np.fromiter(map(distinct.__getitem__, flat), np.intp, len(flat))
+        shape = (len(texts), self.dimension)
+        size = shape[0] * shape[1]
+        # Cell ``row * dimension + bucket`` of the flattened bag matrix.
+        cells = np.repeat(np.arange(0, size, self.dimension), list(map(len, tokens)))
+        cells += buckets[which]
+        bags = np.bincount(cells, weights=signs[which], minlength=size).reshape(shape)
+        # Row norms without a squared copy of the matrix; the sums of
+        # squares are exact integers, as in ``np.linalg.norm``.
+        norms = np.sqrt(np.einsum("ij,ij->i", bags, bags))
+        cancelled = norms == 0.0
+        if cancelled.any():
+            # Signed counts cancelled out, so the row is zero; fill it with
+            # the unsigned bag instead.
+            np.add.at(bags.reshape(-1), cells[cancelled[cells // self.dimension]], 1.0)
+            norms[cancelled] = np.linalg.norm(bags[cancelled], axis=1)
+        bags /= norms[:, None]
+        bags.flags.writeable = False
+        return bags
 
 
 @dataclass(frozen=True)

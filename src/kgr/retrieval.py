@@ -20,7 +20,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graph import KnowledgeGraph, Triple
 from .relevance import PrizeAssignment
@@ -147,17 +146,6 @@ def retrieve_triplets(
     )
 
 
-def _incident(
-    g: KnowledgeGraph, node: str, directed_only: bool
-) -> Iterable[tuple[Triple, str]]:
-    """Triples usable to leave ``node``, with the node reached via each."""
-    for t in g.out_index[node]:
-        yield t, t.object
-    if not directed_only:
-        for t in g.in_index[node]:
-            yield t, t.subject
-
-
 def retrieve_paths(
     g: KnowledgeGraph,
     prizes: PrizeAssignment,
@@ -173,7 +161,13 @@ def retrieve_paths(
     edges) is enumerated and the best by score are kept, ties broken on
     the node then edge sequence.  Traversal ignores edge direction unless
     ``directed_only`` is set.  The path score is the sum of node prizes
-    plus edge prizes minus edge costs along it.
+    plus edge prizes minus edge costs along it, added in path order.
+
+    The walk runs on integer ids: entity i of ``g.entity_order`` and
+    triple j of ``g.triples``, with one prize list per id space and an
+    adjacency built from :attr:`KnowledgeGraph.endpoint_ids`.  Both orders
+    are sorted, so id sequences compare like the strings and triples they
+    stand for; only the kept paths are mapped back.
     """
     if start_count < 1:
         raise ValueError("start_count must be >= 1")
@@ -184,28 +178,46 @@ def retrieve_paths(
     if result_count < 1:
         raise ValueError("result_count must be >= 1")
 
-    starts = sorted(g.entity_order, key=lambda v: (-prizes.node_prize(v), v))[:start_count]
+    order, triples = g.entity_order, g.triples
+    node_prize = list(map(prizes.node_prize, order))
+    edge_prize = list(map(prizes.edge_prize, triples))
+    # A stable sort, so equal prizes stay in id order, which is entity order.
+    starts = sorted(range(len(order)), key=lambda v: -node_prize[v])[:start_count]
     cost = prizes.edge_cost
+    # Per node, ``(edge, next node)`` for the edges that leave it.  A
+    # self-loop leads back onto the path, so it is left out.
+    incident: list[list[tuple[int, int]]] = [[] for _ in order]
+    for edge, (s, o) in enumerate(zip(*(ids.tolist() for ids in g.endpoint_ids))):
+        if s != o:
+            incident[s].append((edge, o))
+            if not directed_only:
+                incident[o].append((edge, s))
 
     def simple_paths():
         # Depth-first with an explicit stack: ``max_len`` is not bounded by
         # the recursion limit, and the stack holds only the untried
-        # extensions of the current path.
-        stack = [(prizes.node_prize(v), (v,), ()) for v in starts]
+        # extensions of the current path.  Each path is yielded as its
+        # ``(-score, nodes, edges)`` sort key.
+        stack = [(node_prize[v], (v,), ()) for v in starts]
         while stack:
-            path = stack.pop()
-            yield path
-            score, nodes, edges = path
+            score, nodes, edges = stack.pop()
+            yield -score, nodes, edges
             if len(edges) >= max_len:
                 continue
-            for t, nxt in _incident(g, nodes[-1], directed_only):
+            for edge, nxt in incident[nodes[-1]]:
                 if nxt not in nodes:
-                    nscore = score + prizes.node_prize(nxt) + prizes.edge_prize(t) - cost
-                    stack.append((nscore, nodes + (nxt,), edges + (t,)))
+                    nscore = score + node_prize[nxt] + edge_prize[edge] - cost
+                    stack.append((nscore, nodes + (nxt,), edges + (edge,)))
 
     # The key is a total order, so the result does not depend on the walk order.
-    best = heapq.nsmallest(result_count, simple_paths(), key=lambda p: (-p[0], p[1], p[2]))
-    return [ScoredPath(nodes=nodes, edges=edges, score=score) for score, nodes, edges in best]
+    return [
+        ScoredPath(
+            nodes=tuple(map(order.__getitem__, nodes)),
+            edges=tuple(map(triples.__getitem__, edges)),
+            score=-neg_score,
+        )
+        for neg_score, nodes, edges in heapq.nsmallest(result_count, simple_paths())
+    ]
 
 
 def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:

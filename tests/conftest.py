@@ -1,5 +1,5 @@
-"""Shared test helpers: seeded random graphs, a per-node clustering
-reference and a local mock HTTP server."""
+"""Shared test helpers: seeded random graphs, a graph layout check, a
+per-node clustering reference and a local mock HTTP server."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from kgr.graph import KnowledgeGraph
@@ -33,6 +34,22 @@ def random_graph(
             continue
         triples.add((s, rng.choice(relations), o))
     return KnowledgeGraph.from_triples(triples, extra_entities=nodes)
+
+
+def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
+    """Equal content and layout, endpoint arrays included; ``expected`` is
+    also rebuilt by ``from_triples`` so its arrays come from a fresh lookup."""
+    rebuilt = KnowledgeGraph.from_triples(expected.triples, extra_entities=expected.entities)
+    for other in (expected, rebuilt):
+        assert g == other
+        assert g.relations == other.relations
+        assert g.entity_order == other.entity_order
+        for mine, theirs in zip(g.endpoint_ids, other.endpoint_ids):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    subjects, objects = g.endpoint_ids
+    assert [g.entity_order[i] for i in subjects] == [t.subject for t in g.triples]
+    assert [g.entity_order[i] for i in objects] == [t.object for t in g.triples]
+    assert not subjects.flags.writeable and not objects.flags.writeable
 
 
 def local_clustering(g: KnowledgeGraph, entity: str) -> float:

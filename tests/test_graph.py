@@ -6,7 +6,9 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgr.graph import (
     KnowledgeGraph,
@@ -15,7 +17,7 @@ from kgr.graph import (
     graph_stats,
     relation_subgraph,
 )
-from conftest import local_clustering, random_graph
+from conftest import assert_same_graph, local_clustering, random_graph
 
 DIAMOND = [
     ("A", "r1", "B"),
@@ -23,6 +25,9 @@ DIAMOND = [
     ("B", "r2", "D"),
     ("C", "r2", "D"),
 ]
+
+
+NODES = [f"e{i}" for i in range(6)]
 
 
 def _triangle(rel: str = "r") -> KnowledgeGraph:
@@ -61,6 +66,37 @@ def test_endpoints_always_in_entity_set():
             assert t.subject in g.entities
             assert t.object in g.entities
             assert t.relation in g.relations
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(st.sampled_from(NODES), st.sampled_from(["r0", "r1", "r2"]), st.sampled_from(NODES)),
+        max_size=20,
+    ),
+    isolated=st.lists(st.sampled_from(NODES + ["lone0", "lone1"]), max_size=3),
+    fill=st.sampled_from(["random", "none", "all"]),
+    data=st.data(),
+)
+def test_induced_matches_from_triples_on_endpoint_closed_masks(triples, isolated, fill, data):
+    # Graphs without triples, isolated entities, self-loops and parallel
+    # edges all occur; the masks may keep nothing or everything.
+    g = KnowledgeGraph.from_triples(triples, extra_entities=isolated)
+    n, m = len(g.entity_order), len(g.triples)
+    if fill == "random":
+        entity_mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        dropped = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    else:
+        entity_mask = np.full(n, fill == "all")
+        dropped = np.zeros(m, dtype=bool)
+    subjects, objects = g.endpoint_ids
+    triple_mask = entity_mask[subjects] & entity_mask[objects] & ~dropped
+    child = g._induced(triple_mask, entity_mask)
+    kept_entities = [e for e, keep in zip(g.entity_order, entity_mask) if keep]
+    kept_triples = [t for t, keep in zip(g.triples, triple_mask) if keep]
+    assert_same_graph(child, KnowledgeGraph.from_triples(kept_triples, extra_entities=kept_entities))
+    if fill == "all":
+        assert_same_graph(child, g)
 
 
 def test_indexes_partition_the_triples():

@@ -17,7 +17,7 @@ from kgr import ppr
 from kgr.graph import EntityNotFoundError, KnowledgeGraph
 from kgr.ingest import khop_subgraph
 from kgr.ppr import PprConfig, extract_and_prune, personalized_pagerank, prune_by_ppr
-from conftest import random_graph
+from conftest import assert_same_graph, random_graph
 
 
 def solve_ppr_dense(g: KnowledgeGraph, seeds, alpha: float, undirected=False) -> dict[str, float]:
@@ -154,6 +154,24 @@ def test_prune_missing_scores_rejected():
         prune_by_ppr(g, {"A": 1.0}, 0.5)
 
 
+def test_prune_reads_scores_from_a_vector_a_dict_or_another_graph():
+    rng = random.Random(67)
+    g = random_graph(rng, 12, 30)
+    ranked = personalized_pagerank(g, ["e0", "e5"])
+    assert ranked.scores == dict(zip(g.entity_order, ranked.vector.tolist()))
+    assert not ranked.vector.flags.writeable
+    threshold = sorted(ranked.scores.values())[6]
+    pruned = prune_by_ppr(g, ranked, threshold)
+    assert_same_graph(pruned, prune_by_ppr(g, dict(ranked.scores), threshold))
+    assert_same_graph(pruned, reference_prune(g, ranked, threshold))
+    # Scores of a supergraph cover every entity, so they prune a subgraph too.
+    part = KnowledgeGraph.from_triples(g.triples[:10], extra_entities=["e0"])
+    assert_same_graph(prune_by_ppr(part, ranked, threshold), reference_prune(part, ranked, threshold))
+    # Scores of a subgraph miss entities of the whole.
+    with pytest.raises(ValueError, match="scores missing"):
+        prune_by_ppr(g, personalized_pagerank(part, ["e0"]), threshold)
+
+
 def test_extract_and_prune_keeps_relevant_region():
     # Two far-apart clusters; extraction around one seed never sees the other.
     left = [(f"L{i}", "r", f"L{i+1}") for i in range(4)]
@@ -176,7 +194,15 @@ def test_extract_and_prune_warns_when_ppr_does_not_converge(caplog):
         capped = extract_and_prune(g, ["L0"], hops=2, config=PprConfig(max_iter=1))
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "did not converge in 1 iterations" in caplog.text
+    assert "for seeds L0;" in caplog.text
     assert "L0" in capped.entities
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="kgr.ppr"):
+        extract_and_prune(g, ["L3", "L0", "L4", "L1"], hops=1, config=PprConfig(max_iter=1))
+    # At most three seeds are named, in the order given.
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "for seeds L3, L0, L4 (+1 more);" in caplog.text
+    assert "L1" not in caplog.text
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="kgr.ppr"):
         extract_and_prune(g, ["L0"], hops=2)
@@ -257,22 +283,6 @@ def reference_prune(g: KnowledgeGraph, scores, threshold: float) -> KnowledgeGra
     kept = {e for e in g.entities if scores.scores[e] >= threshold}
     survivors = [t for t in g.triples if t.subject in kept and t.object in kept]
     return KnowledgeGraph.from_triples(survivors, extra_entities=kept)
-
-
-def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
-    """Equal content and layout, endpoint arrays included; ``expected`` is
-    also rebuilt by ``from_triples`` so its arrays come from a fresh lookup."""
-    rebuilt = KnowledgeGraph.from_triples(expected.triples, extra_entities=expected.entities)
-    for other in (expected, rebuilt):
-        assert g == other
-        assert g.relations == other.relations
-        assert g.entity_order == other.entity_order
-        for mine, theirs in zip(g.endpoint_ids, other.endpoint_ids):
-            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-    subjects, objects = g.endpoint_ids
-    assert [g.entity_order[i] for i in subjects] == [t.subject for t in g.triples]
-    assert [g.entity_order[i] for i in objects] == [t.object for t in g.triples]
-    assert not subjects.flags.writeable and not objects.flags.writeable
 
 
 ENTITIES = [f"e{i}" for i in range(7)]

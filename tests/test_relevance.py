@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kgr import relevance
 from kgr.graph import KnowledgeGraph, Triple
@@ -32,6 +34,30 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.dot(a, b) / denom)
+
+
+def reference_embed(texts, dimension=relevance.FALLBACK_DIMENSION):
+    """Per-text reference for the embedder's batched bags: one signed bag
+    per text, filled token by token, with the unsigned fallback when the
+    signed counts cancel out."""
+    bucket = functools.cache(functools.partial(relevance._token_bucket, dimension=dimension))
+    vectors = []
+    for text in texts:
+        if not text or not text.strip():
+            raise ValueError("cannot embed empty text")
+        toks = relevance._tokens(text) or [text.strip()]
+        vec = np.zeros(dimension, dtype=np.float64)
+        for tok in toks:
+            idx, sign = bucket(tok)
+            vec[idx] += sign
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            for tok in toks:
+                idx, _ = bucket(tok)
+                vec[idx] += 1.0
+            norm = float(np.linalg.norm(vec))
+        vectors.append(vec / norm)
+    return vectors
 
 
 def test_element_label():
@@ -77,6 +103,36 @@ def test_fallback_embedder_hashes_each_distinct_token_once_per_call(monkeypatch)
     assert sorted(hashed) == ["alpha", "beta", "gamma", "w25", "w35"]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(batch, one_by_one))
     assert np.count_nonzero(batch[2]) == 1 and batch[2].max() == 1.0
+
+
+# Words, repeated tokens, punctuation-only pieces, non-ASCII letters
+# (which the tokenizer splits on) and the cancelling pair "w25"/"w35".
+text_pieces = st.sampled_from(
+    ["alpha", "beta", "alpha", "w25", "w35", "?!", "--", "é", "naïve", "東京", "x1", "R2D2", "..."]
+)
+texts = st.lists(text_pieces, min_size=1, max_size=6).map(" ".join) | st.text(
+    alphabet=st.sampled_from("ab1 .,!é東"), min_size=1, max_size=8
+).filter(str.strip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=st.lists(st.lists(texts, min_size=1, max_size=8), min_size=1, max_size=3))
+@example(batches=[["w25 w35", "alpha alpha beta", "?!", "w25 w35"], ["naïve 東京", "w35 w25 w25", "?!"]])
+def test_batched_embed_matches_per_text_loop(batches):
+    # Batches may repeat a text within a call and across calls.
+    emb = HashedBagEmbedder()
+    seen: set[str] = set()
+    stats = {"embedded": 0, "hits": 0}
+    for batch in batches:
+        got = emb.embed(batch)
+        want = reference_embed(batch)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert all(not v.flags.writeable for v in got)
+        new = set(batch) - seen
+        stats["embedded"] += len(new)
+        stats["hits"] += len(batch) - len(new)
+        seen |= new
+        assert emb.memo_stats == stats
 
 
 def test_fallback_embedder_token_overlap_orders_similarity():

@@ -227,6 +227,67 @@ def test_paths_match_heap_and_collect_reference():
     assert retrieve_paths(KnowledgeGraph.from_triples([]), prizes_of()) == []
 
 
+def string_walk_paths(g, prizes, start_count, max_len, result_count, directed_only):
+    """The path search on entity strings and ``Triple`` objects, with a
+    dict prize lookup per step: the reference for the integer-id walk."""
+    starts = sorted(g.entity_order, key=lambda v: (-prizes.node_prize(v), v))[:start_count]
+    cost = prizes.edge_cost
+
+    def simple_paths():
+        stack = [(prizes.node_prize(v), (v,), ()) for v in starts]
+        while stack:
+            path = stack.pop()
+            yield path
+            score, nodes, edges = path
+            if len(edges) >= max_len:
+                continue
+            incident = [(t, t.object) for t in g.out_index[nodes[-1]]]
+            if not directed_only:
+                incident += [(t, t.subject) for t in g.in_index[nodes[-1]]]
+            for t, nxt in incident:
+                if nxt not in nodes:
+                    nscore = score + prizes.node_prize(nxt) + prizes.edge_prize(t) - cost
+                    stack.append((nscore, nodes + (nxt,), edges + (t,)))
+
+    best = heapq.nsmallest(result_count, simple_paths(), key=lambda p: (-p[0], p[1], p[2]))
+    return [ScoredPath(nodes=nodes, edges=edges, score=score) for score, nodes, edges in best]
+
+
+path_triples = st.lists(
+    st.tuples(st.sampled_from("abcdef"), st.sampled_from(["r1", "r2"]), st.sampled_from("abcdef")),
+    max_size=16,
+)
+# Few distinct values, so tied prizes and tied path scores are common.
+path_prizes = st.sampled_from([0.0, 1.0, 2.0, 0.1, 0.7])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    triples=path_triples,
+    isolated=st.lists(st.sampled_from(["x", "y"]), max_size=2),
+    node_prizes=st.lists(path_prizes, min_size=8, max_size=8),
+    edge_prizes=st.lists(path_prizes, min_size=16, max_size=16),
+    cost=st.sampled_from([0.3, 1.0, 2.0]),
+    start_count=st.integers(1, 4),
+    max_len=st.integers(1, 4),
+    result_count=st.integers(1, 30),
+    directed_only=st.booleans(),
+)
+def test_paths_match_string_walk_reference(
+    triples, isolated, node_prizes, edge_prizes, cost, start_count, max_len, result_count, directed_only
+):
+    # Self-loops and parallel edges (same ends, other relation) occur.
+    g = KnowledgeGraph.from_triples(triples, extra_entities=["a", *isolated])
+    prizes = prizes_of(
+        dict(zip("abcdefxy", node_prizes)), dict(zip(g.triples, edge_prizes)), cost=cost
+    )
+    args = (start_count, max_len, result_count, directed_only)
+    got = retrieve_paths(g, prizes, *args)
+    want = string_walk_paths(g, prizes, *args)
+    assert got == want
+    assert [p.score.hex() for p in got] == [p.score.hex() for p in want]
+
+
 def test_paths_walk_a_chain_longer_than_the_recursion_limit():
     n = 1100
     assert n > sys.getrecursionlimit()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import kgr
 import kgr.ppr
 import kgr.sweep
 from kgr.graph import KnowledgeGraph
+from kgr.relevance import HashedBagEmbedder
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -58,6 +60,22 @@ def test_extract_and_prune_calls_its_stages_by_module_name(monkeypatch):
     g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "r", "c")])
     kgr.ppr.extract_and_prune(g, ["a"])
     assert calls == {"khop_subgraph": 1, "personalized_pagerank": 1, "prune_by_ppr": 1}
+
+
+def test_observed_fields_exist():
+    # The tracer's observers read these fields off real calls; a renamed
+    # field would only fail a traced benchmark run.
+    tracer = load_tracer()
+    g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "r", "c")])
+    ranked = kgr.ppr.personalized_pagerank(g, ["a"])
+    assert tracer._ppr_stats((g, ["a"]), {}, ranked) == {
+        "iterations": ranked.iterations_used, "converged": int(ranked.converged),
+    }
+    assert isinstance(ranked.iterations_used, int) and isinstance(ranked.converged, bool)
+    # ``embed``'s texts are its second positional argument, after ``self``.
+    assert list(inspect.signature(HashedBagEmbedder.embed).parameters)[:2] == ["self", "texts"]
+    emb, texts = HashedBagEmbedder(), ["alpha", "beta", "alpha"]
+    assert tracer._embed_texts((emb, texts), {}, emb.embed(texts)) == {"texts": 3}
 
 
 def test_every_export_resolves():
