@@ -42,6 +42,7 @@ from .metrics import compare
 from .perturb import (
     METHODS,
     PerturbationSpec,
+    PerturbedGraph,
     REPLACE_LEAST_PLAUSIBLE,
     REPLACE_MOST_PLAUSIBLE,
     edit_log_to_jsonl,
@@ -242,12 +243,23 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _perturb_and_warn(g: KnowledgeGraph, spec: PerturbationSpec, **options) -> PerturbedGraph:
+    """:func:`perturb`, with one warning when edits were skipped, so a run
+    without ``--edit-log`` still shows them."""
+    result = perturb(g, spec, **options)
+    if result.skipped_edits:
+        logger.warning(
+            "%d of %d %s edits skipped", result.skipped_edits, len(result.edit_log), spec.method
+        )
+    return result
+
+
 def _cmd_perturb(args: argparse.Namespace) -> int:
     g = _read_graph_checked(_need(args, "graph"), args.format)
     spec = PerturbationSpec(
         method=_need(args, "method"), level=_need(args, "level"), seed=args.seed
     )
-    result = perturb(g, spec, replace_mode=args.replace_mode)
+    result = _perturb_and_warn(g, spec, replace_mode=args.replace_mode)
     _emit(serialize(result.graph), args.out)
     if args.edit_log:
         header = _dump_jsonl_line(
@@ -281,7 +293,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         if method is None or level is None:
             raise ValueError("without --perturbed, both --method and --level are required")
         spec = PerturbationSpec(method=method, level=level, seed=seed)
-        gp = perturb(g, spec).graph
+        gp = _perturb_and_warn(g, spec).graph
         method, level, seed = spec.method, spec.level, spec.seed
     report = compare(g, gp)
     normalized = normalize_method(method) if method else None

@@ -113,6 +113,11 @@ class PerturbedGraph:
     graph: KnowledgeGraph
     edit_log: tuple[EditRecord, ...]
 
+    @property
+    def skipped_edits(self) -> int:
+        """How many logged edits were skipped."""
+        return sum(rec.skipped for rec in self.edit_log)
+
 
 def _shuffled_triples(g: KnowledgeGraph, seed: int) -> tuple[list[Triple], random.Random]:
     rng = random.Random(seed)
@@ -255,7 +260,11 @@ def perturb(
         triples, log = _edge_delete(g, spec.level, spec.seed)
     else:  # pragma: no cover - normalize_method already screens this
         raise ValueError(f"unknown method {spec.method!r}")
-    graph = KnowledgeGraph.from_triples(triples, extra_entities=g.entities)
+    # The kept parent triples in parent order, then the new ones sorted:
+    # two sorted runs, which from_triples merges instead of fully sorting.
+    kept = list(filter(triples.__contains__, g.triples))
+    added = sorted(triples.difference(g.triples))
+    graph = KnowledgeGraph.from_triples(kept + added, extra_entities=g.entities)
     return PerturbedGraph(graph=graph, edit_log=tuple(log))
 
 

@@ -120,7 +120,7 @@ def run_sweep(
             overlap = sum(p["overlap"] for p in per_query) / len(per_query)
             cell.update(ats=report.ats, sc2d=report.sc2d, sd2=report.sd2,
                         retrieval_overlap=overlap, per_query=per_query)
-            return cell, sum(rec.skipped for rec in pg.edit_log)
+            return cell, pg.skipped_edits
         except Exception as exc:  # cell failure must not sink the sweep
             logger.debug("sweep cell %s failed", spec, exc_info=True)
             return {**cell, "error": f"{type(exc).__name__}: {exc}"}, None

@@ -37,19 +37,26 @@ def random_graph(
 
 
 def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
-    """Equal content and layout, endpoint arrays included; ``expected`` is
-    also rebuilt by ``from_triples`` so its arrays come from a fresh lookup."""
+    """Equal content and layout, endpoint and relation id arrays included;
+    ``expected`` is also rebuilt by ``from_triples`` so its arrays come from
+    a fresh lookup."""
     rebuilt = KnowledgeGraph.from_triples(expected.triples, extra_entities=expected.entities)
     for other in (expected, rebuilt):
         assert g == other
         assert g.relations == other.relations
         assert g.entity_order == other.entity_order
-        for mine, theirs in zip(g.endpoint_ids, other.endpoint_ids):
+        for mine, theirs in zip(
+            (*g.endpoint_ids, g.relation_ids), (*other.endpoint_ids, other.relation_ids)
+        ):
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
     subjects, objects = g.endpoint_ids
     assert [g.entity_order[i] for i in subjects] == [t.subject for t in g.triples]
     assert [g.entity_order[i] for i in objects] == [t.object for t in g.triples]
-    assert not subjects.flags.writeable and not objects.flags.writeable
+    relations = sorted(g.relations)
+    assert [relations[i] for i in g.relation_ids] == [t.relation for t in g.triples]
+    assert g.relation_ids.dtype == np.intp
+    for ids in (subjects, objects, g.relation_ids):
+        assert not ids.flags.writeable
 
 
 def local_clustering(g: KnowledgeGraph, entity: str) -> float:
@@ -58,8 +65,8 @@ def local_clustering(g: KnowledgeGraph, entity: str) -> float:
 
     c(v) = 2 * tri(v) / (deg(v) * (deg(v) - 1)), and 0.0 when deg(v) < 2.
     """
-    adj = g.simple_neighbors
-    nbrs = adj[entity]
+    adj = g.undirected_neighbors
+    nbrs = adj[entity] - {entity}
     deg = len(nbrs)
     if deg < 2:
         return 0.0

@@ -15,7 +15,14 @@ import kgr
 import kgr.sweep
 from kgr.cli import main
 from kgr.ingest import parse_triples, read_graph, serialize
-from kgr.perturb import PerturbationSpec, parse_edit_log, perturb, replay_edit_log
+from kgr.perturb import (
+    PerturbationSpec,
+    edit_log_to_jsonl,
+    normalize_method,
+    parse_edit_log,
+    perturb,
+    replay_edit_log,
+)
 from kgr.relevance import verbalize_element
 from conftest import echo_generation_behavior, random_graph
 
@@ -316,6 +323,33 @@ class TestPerturb:
             assert code == 0
             outs[mode] = out.read_text(encoding="utf-8")
         assert outs["least_plausible"] != outs["most_plausible"]
+
+    def test_skipped_edits_warn_once_and_leave_outputs_alone(self, tmp_path, capsys, caplog):
+        # The triangle leaves edge_rewire no legal target, so every edit is
+        # skipped; a run that skips nothing logs nothing.
+        g = parse_triples("a\tr\tb\nb\tr\tc\nc\tr\ta\n")
+        path = tmp_path / "triangle.tsv"
+        path.write_text(serialize(g), encoding="utf-8")
+        log_path = tmp_path / "edits.jsonl"
+        for method, warnings in (("er", ["3 of 3 edge_rewire edits skipped"]), ("ed", [])):
+            caplog.clear()
+            argv = ["perturb", "--graph", str(path), "--method", method, "--level", "1.0"]
+            assert main(argv + ["--seed", "1", "--edit-log", str(log_path)]) == 0
+            result = perturb(g, PerturbationSpec(method, 1.0, 1))
+            assert capsys.readouterr().out == serialize(result.graph)
+            header = {"record_type": "header", "method": normalize_method(method), "level": 1.0, "seed": 1}
+            assert log_path.read_text(encoding="utf-8") == (
+                json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+                + edit_log_to_jsonl(result.edit_log)
+            )
+            assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+                ("WARNING", message) for message in warnings
+            ]
+
+            caplog.clear()
+            assert main(["measure", "--graph", str(path), "--method", method, "--level", "1.0"]) == 0
+            assert json.loads(capsys.readouterr().out)["method"] == normalize_method(method)
+            assert [r.getMessage() for r in caplog.records] == warnings
 
 
 class TestMeasure:

@@ -58,6 +58,25 @@ def test_empty_ids_rejected():
         KnowledgeGraph.from_triples([], extra_entities=[""])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(st.sampled_from(NODES), st.sampled_from(["r0", "r1", "r2"]), st.sampled_from(NODES)),
+        max_size=20,
+    ),
+    isolated=st.lists(st.sampled_from(["lone0", "lone1"]), max_size=2),
+    data=st.data(),
+)
+def test_from_triples_ignores_input_order_and_repeats(triples, isolated, data):
+    g = KnowledgeGraph.from_triples(triples, extra_entities=isolated)
+    repeats = data.draw(st.lists(st.sampled_from(triples), max_size=10)) if triples else []
+    shuffled = data.draw(st.permutations(triples + repeats))
+    h = KnowledgeGraph.from_triples(shuffled, extra_entities=isolated)
+    assert h.triples == g.triples
+    assert h.entities == g.entities and h.relations == g.relations
+    assert_same_graph(h, g)
+
+
 def test_endpoints_always_in_entity_set():
     rng = random.Random(11)
     for _ in range(20):

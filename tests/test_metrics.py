@@ -190,6 +190,38 @@ def test_mean_relation_vectors_match_reference_loops_bit_for_bit():
         assert np.array_equal(g.mean_relation_degree, reference_mean_relation_degree(g))
 
 
+def hub_graphs(seed, count):
+    """Graphs where one entity has 50 or more neighbours in one relation,
+    with edges among those neighbours closing triangles through the hub,
+    plus self-loops, parallel edges, a second hub relation and an orphan."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(60, 90)
+        nodes = [f"e{i}" for i in range(n)]
+        hub, leaves = nodes[0], rng.sample(nodes[1:], rng.randint(50, n - 1))
+        triples = {(hub, "r0", v) if rng.random() < 0.5 else (v, "r0", hub) for v in leaves}
+        triples |= {(rng.choice(leaves), rng.choice(["r0", "r1"]), rng.choice(leaves)) for _ in range(3 * n)}
+        triples |= {(hub, "r1", v) for v in rng.sample(leaves, 20)}
+        triples |= {(v, "r2", v) for v in rng.sample(nodes, 3)}
+        yield KnowledgeGraph.from_triples(triples, extra_entities=nodes, extra_relations=["orphan"])
+
+
+def test_mean_relation_clustering_on_hub_graphs_matches_reference_bytes():
+    rng = random.Random(719)
+    for g in hub_graphs(719, 12):
+        hub_degree = len({t.object if t.subject == "e0" else t.subject
+                          for t in g.triples if t.relation == "r0" and "e0" in (t.subject, t.object)})
+        assert hub_degree >= 50
+        graphs = [g] + [
+            perturb(g, PerturbationSpec(method, rng.choice([0.05, 0.3, 1.0]), rng.randrange(100))).graph
+            for method in METHODS
+        ]
+        for h in graphs:
+            expected = reference_mean_relation_clustering(h)
+            assert h.mean_relation_clustering.tobytes() == expected.tobytes()
+        assert g.mean_relation_clustering[g.entity_index["e0"]] > 0.0
+
+
 def test_relation_vectors_are_cached_per_graph_and_read_only():
     g = random_graph(random.Random(5), 12, 30)
     for name in ("mean_relation_clustering", "mean_relation_degree"):

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgr.graph import KnowledgeGraph, Triple
 from kgr.metrics import fit_baseline_scorer
@@ -20,7 +20,7 @@ from kgr.perturb import (
     replay_edit_log,
     round_half_up,
 )
-from conftest import random_graph
+from conftest import assert_same_graph, random_graph
 
 LEVELS = (0.0, 0.1, 0.5, 1.0)
 
@@ -287,6 +287,34 @@ def test_replay_reproduces_any_perturbation(triples, isolated, method, level, se
     g = KnowledgeGraph.from_triples(triples, extra_entities=isolated)
     pg = perturb(g, PerturbationSpec(method, level, seed))
     assert replay_edit_log(g, pg.edit_log) == pg.graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=triples_strategy,
+    isolated=st.lists(st.sampled_from(["x", "y"]), max_size=2),
+    orphans=st.lists(st.sampled_from(["r8", "r9"]), max_size=2),
+    method=st.sampled_from(METHODS),
+    level=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# The one deleted triple is r2's only one, so r2 leaves the graph while r1 stays.
+@example(
+    triples=[("a", "r1", "b"), ("b", "r1", "c"), ("a", "r2", "c")], isolated=["x"],
+    orphans=["r9"], method="edge_delete", level=0.3, seed=1,
+)
+# The least plausible replacement moves a triple onto the orphan relation r9.
+@example(
+    triples=[("a", "r1", "b"), ("a", "r2", "b")], isolated=[], orphans=["r9"],
+    method="relation_replace", level=1.0, seed=3,
+)
+def test_perturbed_graph_matches_a_fresh_build(triples, isolated, orphans, method, level, seed):
+    # perturb hands from_triples its kept triples in parent order and then
+    # the sorted new ones; a hash-ordered set of the same triples must give
+    # the same layout and id arrays.
+    g = KnowledgeGraph.from_triples(triples, extra_entities=isolated, extra_relations=orphans)
+    result = perturb(g, PerturbationSpec(method, level, seed)).graph
+    assert_same_graph(result, KnowledgeGraph.from_triples(set(result.triples), extra_entities=g.entities))
 
 
 def copy_per_edit_relation_swap(g, level, seed):

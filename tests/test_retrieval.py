@@ -51,7 +51,7 @@ def assert_connected(g: KnowledgeGraph):
     frontier = [nodes[0]]
     while frontier:
         v = frontier.pop()
-        for u in g.simple_neighbors[v]:
+        for u in g.undirected_neighbors[v]:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)

@@ -62,6 +62,28 @@ def test_extract_and_prune_calls_its_stages_by_module_name(monkeypatch):
     assert calls == {"khop_subgraph": 1, "personalized_pagerank": 1, "prune_by_ppr": 1}
 
 
+def test_perturb_builds_its_graph_through_from_triples_once(monkeypatch):
+    # Traced damage runs see the graph layer only through from_triples,
+    # wrapped on the class as the tracer does it; a perturbed graph built
+    # any other way leaves that heavy layer without spans.
+    g = KnowledgeGraph.from_triples(
+        [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r1", "d"), ("a", "r2", "d")]
+    )
+    builds = []
+    from_triples = KnowledgeGraph.__dict__["from_triples"].__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(cls)
+        return from_triples(cls, *args, **kwargs)
+
+    monkeypatch.setattr(KnowledgeGraph, "from_triples", classmethod(counted))
+    for method in kgr.METHODS:
+        for level in (0.0, 0.5, 1.0):
+            builds.clear()
+            kgr.perturb(g, kgr.PerturbationSpec(method, level, 7))
+            assert builds == [KnowledgeGraph], (method, level)
+
+
 def test_observed_fields_exist():
     # The tracer's observers read these fields off real calls; a renamed
     # field would only fail a traced benchmark run.
