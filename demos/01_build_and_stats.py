@@ -8,7 +8,7 @@ Building a knowledge graph and reading its statistics
 # form is one triple per line.
 from dataclasses import asdict
 
-from kgr import KnowledgeGraph, graph_stats, parse_triples
+from kgr import KnowledgeGraph, graph_stats, khop_subgraph, parse_triples
 
 TSV = """\
 tesla\tfounded_by\telon_musk
@@ -29,7 +29,7 @@ same = KnowledgeGraph.from_triples(reversed(g.triples))
 print("order-independent:", same == g)
 
 # 1-hop neighborhoods ignore edge direction.
-print("around elon_musk:", sorted(g.undirected_neighbors["elon_musk"]))
+print("around elon_musk:", sorted(khop_subgraph(g, ["elon_musk"], 1).entities - {"elon_musk"}))
 
 # Whole-graph statistics: counts, mean degree, clustering, density.
 stats = graph_stats(g)

@@ -120,48 +120,46 @@ class KnowledgeGraph:
 
         Every kept triple must have both endpoints kept.  A subsequence of
         the sorted, duplicate-free triple tuple is still sorted and
-        duplicate-free, so nothing is re-sorted; the child's entity order
-        and endpoint arrays are carried over instead of rebuilt.  Members
-        are gathered by the kept positions, so the cost follows the child's
-        size, not the parent's.
+        duplicate-free, so nothing is re-sorted; the child's entity order,
+        endpoint arrays and relation ids are carried over instead of
+        rebuilt, and its relations are the parent's that a kept triple
+        uses.  Members are gathered by the kept positions, so the cost
+        follows the child's size, not the parent's.
         """
         kept_triples = np.flatnonzero(triple_mask)
         entity_order = _gather(self.entity_order, np.flatnonzero(entity_mask))
-        triples = _gather(self.triples, kept_triples)
+        relation_ids = self.relation_ids[kept_triples]
+        used = np.zeros(len(self.relations), dtype=bool)
+        used[relation_ids] = True
         child = KnowledgeGraph(
             entities=frozenset(entity_order),
-            relations=frozenset(map(itemgetter(1), triples)),
-            triples=triples,
+            relations=frozenset(_gather(tuple(sorted(self.relations)), np.flatnonzero(used))),
+            triples=_gather(self.triples, kept_triples),
         )
         remap = np.cumsum(entity_mask, dtype=np.intp) - 1
         subjects, objects = (remap[ids[kept_triples]] for ids in self.endpoint_ids)
-        subjects.flags.writeable = objects.flags.writeable = False
-        vars(child).update(entity_order=entity_order, endpoint_ids=(subjects, objects))
+        relation_ids = (np.cumsum(used, dtype=np.intp) - 1)[relation_ids]
+        subjects.flags.writeable = objects.flags.writeable = relation_ids.flags.writeable = False
+        vars(child).update(
+            entity_order=entity_order, endpoint_ids=(subjects, objects), relation_ids=relation_ids
+        )
         return child
 
     @cached_property
-    def out_index(self) -> dict[str, tuple[Triple, ...]]:
-        """Out-edges per entity; every entity has an entry (possibly empty)."""
-        acc: dict[str, list[Triple]] = {e: [] for e in self.entities}
-        for t in self.triples:
-            acc[t.subject].append(t)
-        return {e: tuple(ts) for e, ts in acc.items()}
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Triples touching each entity, as ``(indptr, triple_ids)``.
 
-    @cached_property
-    def in_index(self) -> dict[str, tuple[Triple, ...]]:
-        acc: dict[str, list[Triple]] = {e: [] for e in self.entities}
-        for t in self.triples:
-            acc[t.object].append(t)
-        return {e: tuple(ts) for e, ts in acc.items()}
-
-    @cached_property
-    def undirected_neighbors(self) -> dict[str, frozenset[str]]:
-        """1-hop neighbor sets ignoring direction; v appears only via self-loop."""
-        acc: dict[str, set[str]] = {e: set() for e in self.entities}
-        for t in self.triples:
-            acc[t.subject].add(t.object)
-            acc[t.object].add(t.subject)
-        return {e: frozenset(ns) for e, ns in acc.items()}
+        Entity i's triples are ``triple_ids[indptr[i]:indptr[i + 1]]``, in
+        ascending id order; a self-loop is listed twice, so ``diff(indptr)``
+        is out-degree plus in-degree, and an isolated entity's slice is
+        empty.  Both ``intp`` arrays are read-only.
+        """
+        ends = np.column_stack(self.endpoint_ids).ravel()  # s0, o0, s1, o1, ...
+        order = np.argsort(ends, kind="stable")
+        indptr = np.searchsorted(ends[order], np.arange(len(self.entities) + 1))
+        triple_ids = order // 2
+        indptr.flags.writeable = triple_ids.flags.writeable = False
+        return indptr, triple_ids
 
     @cached_property
     def mean_relation_clustering(self) -> np.ndarray:

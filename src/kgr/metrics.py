@@ -16,7 +16,9 @@ set; the L2 distance d between the two means is mapped through
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Protocol
 
 import numpy as np
@@ -57,17 +59,13 @@ def fit_baseline_scorer(g: KnowledgeGraph) -> BaselineEdgeScorer:
     """Fit the frequency scorer; a graph without triples is rejected."""
     if not g.triples:
         raise ValueError("cannot fit an edge scorer on a graph without triples")
-    out_counts: dict[tuple[str, str], int] = {}
-    in_counts: dict[tuple[str, str], int] = {}
-    for t in g.triples:
-        out_counts[(t.subject, t.relation)] = out_counts.get((t.subject, t.relation), 0) + 1
-        in_counts[(t.object, t.relation)] = in_counts.get((t.object, t.relation), 0) + 1
-    out_freq = {
-        key: count / len(g.out_index[key[0]]) for key, count in out_counts.items()
-    }
-    in_freq = {
-        key: count / len(g.in_index[key[0]]) for key, count in in_counts.items()
-    }
+    # Counter values are Python ints, so every frequency is a Python float.
+    out_counts = Counter(map(itemgetter(0, 1), g.triples))
+    in_counts = Counter(map(itemgetter(2, 1), g.triples))
+    out_degree = Counter(map(itemgetter(0), g.triples))
+    in_degree = Counter(map(itemgetter(2), g.triples))
+    out_freq = {key: count / out_degree[key[0]] for key, count in out_counts.items()}
+    in_freq = {key: count / in_degree[key[0]] for key, count in in_counts.items()}
     return BaselineEdgeScorer(
         triples=frozenset((t.subject, t.relation, t.object) for t in g.triples),
         out_freq=out_freq,

@@ -7,7 +7,7 @@ Four heuristics, each parameterized by a level rho in [0, 1] and a seed:
   relation under an edge scorer (or the most plausible, behind a flag).
 * ``edge_rewire``      -- chosen edges keep subject and relation but move
   their object to a uniformly drawn non-neighbor, found by rejection
-  sampling over the entity order; at most 100 candidates are tried.
+  sampling over entity ids; at most 100 candidates are tried.
 * ``edge_delete``      -- chosen edges are removed outright.
 
 The entity set is never changed, every edit is logged, and replaying the
@@ -194,8 +194,8 @@ def _relation_replace(
 def _edge_rewire(g: KnowledgeGraph, level: float, seed: int):
     shuffled, rng = _shuffled_triples(g, seed)
     targets = shuffled[: round_half_up(level * len(shuffled))]
-    order = g.entity_order
-    n = len(order)
+    order, index, n = g.entity_order, g.entity_index, len(g.entities)
+    (subjects, objects), (indptr, incident) = g.endpoint_ids, g.incidence
     current = set(g.triples)
     log: list[EditRecord] = []
     for e in targets:
@@ -203,18 +203,21 @@ def _edge_rewire(g: KnowledgeGraph, level: float, seed: int):
         # neighborhood (either direction), per the original graph.  Draw
         # uniformly from all entities and reject excluded or already tried
         # ones: the distinct candidates come out as a uniform random order
-        # of the pool, of which the first 100 are tried.
-        nbrs = g.undirected_neighbors[e.subject]
-        pool_size = n - len(nbrs) - (e.subject not in nbrs)
+        # of the pool, of which the first 100 are tried.  The far end of
+        # each triple touching s is a neighbour (s itself for a self-loop).
+        s = index[e.subject]
+        ts = incident[indptr[s] : indptr[s + 1]]
+        nbrs = set((subjects[ts] + objects[ts] - s).tolist())
+        pool_size = n - len(nbrs) - (s not in nbrs)
         tries = min(100, pool_size)
-        tried: set[str] = set()
+        tried: set[int] = set()
         replacement = None
         while len(tried) < tries:
-            v3 = order[rng.randrange(n)]
-            if v3 == e.subject or v3 in nbrs or v3 in tried:
+            v3 = rng.randrange(n)
+            if v3 == s or v3 in nbrs or v3 in tried:
                 continue
             tried.add(v3)
-            candidate = Triple(e.subject, e.relation, v3)
+            candidate = Triple(e.subject, e.relation, order[v3])
             if candidate not in current:
                 replacement = candidate
                 break

@@ -10,6 +10,9 @@ All three variants consume one :class:`~kgr.relevance.PrizeAssignment`:
   edge prizes into reduced costs and prunes unprofitable branches; its
   score is a correctly rounded sum, independent of the hash seed.
 
+The path walk and the subgraph heuristic run on entity and triple ids and
+map only their results back to strings.
+
 Exhaustive oracles for the path and subgraph objectives are provided for
 verification on small graphs (at most 10 nodes, enforced).
 """
@@ -20,6 +23,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import KnowledgeGraph, Triple
 from .relevance import PrizeAssignment
@@ -221,11 +225,14 @@ def retrieve_paths(
 
 
 def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
-    """Inverse of :meth:`RetrievedKnowledge.to_json_dict`."""
+    """Inverse of :meth:`RetrievedKnowledge.to_json_dict`; a record of the
+    wrong shape raises ``ValueError``."""
     variant = d["variant"]
     prize_k = int(d["prize_k"])
     edge_cost = float(d["edge_cost"])
     items, scores = d["items"], d["scores"]
+    if len(items) != len(scores):
+        raise ValueError(f"{len(items)} items but {len(scores)} scores")
     if variant == VARIANT_TRIPLETS:
         return RetrievedKnowledge(
             variant=variant,
@@ -248,6 +255,8 @@ def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
             variant=variant, prize_k=prize_k, edge_cost=edge_cost, paths=paths
         )
     if variant == VARIANT_SUBGRAPH:
+        if len(items) != 1:
+            raise ValueError(f"a subgraph record holds one item, not {len(items)}")
         item = items[0]
         sub = KnowledgeGraph.from_triples(
             (Triple(*t) for t in item["triples"]), extra_entities=item["nodes"]
@@ -265,29 +274,36 @@ def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
 # Connected-subgraph retrieval (prize-collecting Steiner heuristic)
 # ---------------------------------------------------------------------------
 
-# Transformed-graph node ids are ints.  Entity i of ``g.entity_order`` is
-# id i; each triple whose prize exceeds the edge cost gets a virtual id,
-# after the entities and in ``g.triples`` order, for the node that carries
-# the edge's surplus prize.  Both orders are sorted, so ids compare like
-# the entities and triples they stand for (entities first): every tie
-# below breaks on the id.
 
+class _Transformed(NamedTuple):
+    """The transformed graph on integer ids, and the prizes PCST reads.
 
-def _transformed_graph(g: KnowledgeGraph, prizes: PrizeAssignment):
-    """Adjacency lists, prizes and carried triples of the transformed graph.
-
-    ``adjacency[u]`` lists ``(v, reduced_cost, triple)`` in ``g.triples``
-    order; ``carried[j]`` is the triple of virtual id
-    ``len(g.entity_order) + j``.
+    Node i < ``entity_count`` is entity i of ``g.entity_order``; each
+    triple whose prize exceeds the edge cost adds a virtual node, in
+    triple order, that carries the surplus.  ``adjacency[u]`` lists
+    ``(v, reduced_cost, triple_id)``: every triple touching an entity, or
+    the two ends of a virtual node's triple.  ``edge_prize`` and ``ends``
+    (subject and object ids) are indexed by triple id.  Ids compare like
+    the sorted entities and triples they stand for, so ties break on ids.
     """
-    cost, edge_prize = prizes.edge_cost, prizes.edge_prize
-    index = g.entity_index
-    prize_of = [prizes.node_prize(e) for e in g.entity_order]
-    adjacency: list[list[tuple[int, float, Triple]]] = [[] for _ in prize_of]
-    carried: list[Triple] = []
-    for t in g.triples:
-        s, o = index[t.subject], index[t.object]
-        reduced = cost - edge_prize(t)
+
+    adjacency: list[list[tuple[int, float, int]]]
+    prize_of: list[float]
+    entity_count: int
+    edge_prize: list[float]
+    ends: list[tuple[int, int]]
+    cost: float
+
+
+def _transformed_graph(g: KnowledgeGraph, prizes: PrizeAssignment) -> _Transformed:
+    """Fold each edge prize into a reduced cost over ``g``'s endpoint ids."""
+    cost = prizes.edge_cost
+    prize_of = list(map(prizes.node_prize, g.entity_order))
+    edge_prize = list(map(prizes.edge_prize, g.triples))
+    ends = list(zip(*(ids.tolist() for ids in g.endpoint_ids)))
+    adjacency: list[list[tuple[int, float, int]]] = [[] for _ in prize_of]
+    for t, (s, o) in enumerate(ends):
+        reduced = cost - edge_prize[t]
         if reduced >= 0.0:
             adjacency[s].append((o, reduced, t))
             adjacency[o].append((s, reduced, t))
@@ -297,8 +313,7 @@ def _transformed_graph(g: KnowledgeGraph, prizes: PrizeAssignment):
             adjacency.append([(s, 0.0, t), (o, 0.0, t)])
             adjacency[s].append((v, 0.0, t))
             adjacency[o].append((v, 0.0, t))
-            carried.append(t)
-    return adjacency, prize_of, carried
+    return _Transformed(adjacency, prize_of, len(g.entity_order), edge_prize, ends, cost)
 
 
 def _grow_tree(adjacency, prize_of, root: int, greedy_prizes: bool):
@@ -308,19 +323,19 @@ def _grow_tree(adjacency, prize_of, root: int, greedy_prizes: bool):
     node's prize (chase value); without it the priority is the plain
     edge cost (a minimum-spanning-tree shape).  Ties pop in push order.
     Returns parent pointers in the order nodes joined the tree:
-    node -> (parent, cost, triple), the root mapping to ``None``.
+    node -> (parent, cost, triple id), the root mapping to ``None``.
 
     A node is pushed only when its priority is strictly below the lowest
     already queued for it.  That is exact: a skipped entry would sort
     after the queued one (priority not lower, counter larger), so it
     would pop only once the node is in the tree, and be dropped.
     """
-    parent: dict[int, tuple[int, float, Triple] | None] = {root: None}
+    parent: dict[int, tuple[int, float, int] | None] = {root: None}
     # Lowest priority queued per node; -inf once the node is in the tree,
     # so no priority beats it.
     lowest = [math.inf] * len(prize_of)
     lowest[root] = -math.inf
-    heap: list[tuple[float, int, int, int, float, Triple]] = []
+    heap: list[tuple[float, int, int, int, float, int]] = []
     counter = itertools.count()
     node = root
     while True:
@@ -373,73 +388,66 @@ def _best_subtree(parent, prize_of):
     return selected
 
 
-def _subgraph_from_selection(g, prizes, parent, selected, carried):
-    """Map selected transformed nodes back to original nodes and triples.
+def _subgraph_from_selection(tg: _Transformed, parent, selected):
+    """Map selected transformed nodes back to entity and triple ids.
 
     The score is node prizes plus edge prizes minus edge costs, summed
     with ``math.fsum``: correctly rounded, so the same for any order the
-    sets iterate in (that order follows the interpreter's hash seed).
+    sets iterate in.
     """
-    entity_count = len(g.entity_order)
-    nodes: set[str] = set()
-    triples: set[Triple] = set()
+    nodes: set[int] = set()
+    triples: set[int] = set()
     for key in selected:
-        if key >= entity_count:
-            t = carried[key - entity_count]
+        if key >= tg.entity_count:
+            t = tg.adjacency[key][0][2]  # the triple this virtual node carries
             triples.add(t)
-            nodes.add(t.subject)
-            nodes.add(t.object)
+            nodes.update(tg.ends[t])
         else:
-            nodes.add(g.entity_order[key])
+            nodes.add(key)
             link = parent[key]
             if link is not None and link[0] in selected:
                 triples.add(link[2])
-    _expand_greedily(g, prizes, nodes, triples)
-    cost = prizes.edge_cost
+    _expand_greedily(tg, nodes, triples)
+    prize_of, edge_prize, cost = tg.prize_of, tg.edge_prize, tg.cost
     score = math.fsum(
-        itertools.chain(
-            map(prizes.node_prize, nodes), (prizes.edge_prize(t) - cost for t in triples)
-        )
+        itertools.chain(map(prize_of.__getitem__, nodes), (edge_prize[t] - cost for t in triples))
     )
     return nodes, triples, score
 
 
-def _expand_greedily(g, prizes, nodes: set[str], triples: set[Triple]) -> None:
+def _expand_greedily(tg: _Transformed, nodes: set[int], triples: set[int]) -> None:
     """Attach adjacent edges while any strictly improves the score.
 
-    A candidate must touch the current node set (connectivity); its
-    marginal value is the edge gain plus the prize of any newly covered
-    endpoint.  The single best candidate is taken per round, ties broken
-    on the triple.  Only live triples enter the frontier: those whose
-    edge prize exceeds the cost or with an endpoint that has a positive
-    prize.  No other triple can ever have a positive marginal.
+    ``nodes`` and ``triples`` are id sets, grown in place.  A candidate
+    must touch the current node set (connectivity); its marginal value is
+    the edge gain plus the prize of any newly covered endpoint.  The single
+    best candidate is taken per round, ties broken on the triple id.  Only
+    live triples enter the frontier: those whose edge prize exceeds the
+    cost or with an endpoint that has a positive prize.  No other triple
+    can have a positive marginal while the cost is non-negative.
     """
-    cost = prizes.edge_cost
-    node_prize, edge_prize = prizes.node_prize, prizes.edge_prize
-    prized = {v for v, p in prizes.node_prizes.items() if p > 0.0}
-    surplus = {t for t, p in prizes.edge_prizes.items() if p > cost}
-    frontier: set[Triple] = set()  # live triples touching ``nodes``, not yet taken
+    adjacency, prize_of, _, edge_prize, ends, cost = tg
+    frontier: set[int] = set()  # live triples touching ``nodes``, not yet taken
 
-    def touch(v: str) -> None:
-        incident = (*g.out_index[v], *g.in_index[v])
-        if v not in prized:
-            incident = [
-                t
-                for t in incident
-                if t.subject in prized or t.object in prized or t in surplus
-            ]
-        frontier.update(t for t in incident if t not in triples)
+    def live(t: int) -> bool:
+        s, o = ends[t]
+        return edge_prize[t] > cost or prize_of[s] > 0.0 or prize_of[o] > 0.0
+
+    def touch(v: int) -> None:
+        prized = prize_of[v] > 0.0
+        frontier.update(t for _, _, t in adjacency[v] if t not in triples and (prized or live(t)))
 
     for v in nodes:
         touch(v)
     while True:
-        best: tuple[float, Triple] | None = None
+        best: tuple[float, int] | None = None
         for t in frontier:
-            marginal = edge_prize(t) - cost
-            if t.subject not in nodes:
-                marginal += node_prize(t.subject)
-            if t.object not in nodes:
-                marginal += node_prize(t.object)
+            s, o = ends[t]
+            marginal = edge_prize[t] - cost
+            if s not in nodes:
+                marginal += prize_of[s]
+            if o not in nodes:
+                marginal += prize_of[o]
             if marginal <= 0.0:
                 continue
             if best is None or (-marginal, t) < (-best[0], best[1]):
@@ -449,7 +457,7 @@ def _expand_greedily(g, prizes, nodes: set[str], triples: set[Triple]) -> None:
         _, chosen = best
         triples.add(chosen)
         frontier.discard(chosen)
-        for v in (chosen.subject, chosen.object):
+        for v in ends[chosen]:
             if v not in nodes:
                 nodes.add(v)
                 touch(v)
@@ -467,14 +475,16 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
     prizes anywhere the result degenerates to the single highest-degree
     node.
 
-    The transformed graph runs on integer node ids, a tree's heap queues
-    a node again only when its priority strictly improves (the entries
-    skipped could never win), and scores are correctly rounded sums, so
-    the result does not depend on the interpreter's hash seed.
+    Every step runs on entity and triple ids; only the winning candidate
+    is mapped back, through ``from_triples``.  A tree's heap queues a node
+    again only when its priority strictly improves (the entries skipped
+    could never win), and scores are correctly rounded sums, so the
+    result does not depend on the interpreter's hash seed.
     """
     if not g.entities:
         raise ValueError("cannot retrieve from an empty graph")
-    adjacency, prize_of, carried = _transformed_graph(g, prizes)
+    tg = _transformed_graph(g, prizes)
+    adjacency, prize_of = tg.adjacency, tg.prize_of
     # Roots may be real nodes or the virtual carrier of a prized edge's
     # surplus -- otherwise a graph whose value sits entirely on edges
     # would never be entered at all.
@@ -483,8 +493,9 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
         key=lambda key: (-prize_of[key], key),
     )
     if not prized:
-        degree = {v: len(g.out_index[v]) + len(g.in_index[v]) for v in g.entity_order}
-        best = min(g.entity_order, key=lambda v: (-degree[v], v))
+        # An entity's list holds one entry per triple end, so its length
+        # is the degree; max keeps the first, smallest id among equals.
+        best = g.entity_order[max(range(tg.entity_count), key=lambda v: len(adjacency[v]))]
         return ScoredSubgraph(
             subgraph=KnowledgeGraph.from_triples((), extra_entities=(best,)),
             score=0.0,
@@ -501,19 +512,17 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
             parent = _grow_tree(adjacency, prize_of, root, greedy_prizes)
             reached.update(parent)
             selected = _best_subtree(parent, prize_of)
-            nodes, triples, score = _subgraph_from_selection(
-                g, prizes, parent, selected, carried
-            )
+            nodes, triples, score = _subgraph_from_selection(tg, parent, selected)
             key = (-score, tuple(sorted(nodes)), tuple(sorted(triples)))
             if best_result is None or key < best_result[0]:
-                best_result = (key, nodes, triples, score)
+                best_result = (key, score)
 
     assert best_result is not None
-    _, nodes, triples, score = best_result
-    return ScoredSubgraph(
-        subgraph=KnowledgeGraph.from_triples(triples, extra_entities=nodes),
-        score=score,
+    (_, nodes, triples), score = best_result
+    sub = KnowledgeGraph.from_triples(
+        map(g.triples.__getitem__, triples), map(g.entity_order.__getitem__, nodes)
     )
+    return ScoredSubgraph(subgraph=sub, score=score)
 
 
 def retrieve(

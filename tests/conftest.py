@@ -1,5 +1,6 @@
-"""Shared test helpers: seeded random graphs, a graph layout check, a
-per-node clustering reference and a local mock HTTP server."""
+"""Shared test helpers: seeded random graphs, a graph layout check,
+string-keyed adjacency helpers for reference code, a per-node clustering
+reference and a local mock HTTP server."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from kgr.graph import KnowledgeGraph
+from kgr.graph import KnowledgeGraph, Triple
 
 
 def random_graph(
@@ -59,13 +60,39 @@ def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
         assert not ids.flags.writeable
 
 
+def out_edges(g: KnowledgeGraph) -> dict[str, list[Triple]]:
+    """Each entity's out-going triples in triple order; every entity has an entry."""
+    acc: dict[str, list[Triple]] = {e: [] for e in g.entities}
+    for t in g.triples:
+        acc[t.subject].append(t)
+    return acc
+
+
+def in_edges(g: KnowledgeGraph) -> dict[str, list[Triple]]:
+    """Each entity's in-coming triples in triple order; every entity has an entry."""
+    acc: dict[str, list[Triple]] = {e: [] for e in g.entities}
+    for t in g.triples:
+        acc[t.object].append(t)
+    return acc
+
+
+def neighbor_sets(g: KnowledgeGraph) -> dict[str, set[str]]:
+    """1-hop neighbours ignoring direction; an entity is its own neighbour
+    only through a self-loop."""
+    acc: dict[str, set[str]] = {e: set() for e in g.entities}
+    for t in g.triples:
+        acc[t.subject].add(t.object)
+        acc[t.object].add(t.subject)
+    return acc
+
+
 def local_clustering(g: KnowledgeGraph, entity: str) -> float:
     """Per-node reference for the library's clustering: the neighbour-pair
     loop on the undirected simple projection (self-loops ignored).
 
     c(v) = 2 * tri(v) / (deg(v) * (deg(v) - 1)), and 0.0 when deg(v) < 2.
     """
-    adj = g.undirected_neighbors
+    adj = neighbor_sets(g)
     nbrs = adj[entity] - {entity}
     deg = len(nbrs)
     if deg < 2:

@@ -750,6 +750,26 @@ class TestGenerate:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "items, scores",
+        [
+            ('"variant": "subgraph", "items": []', "[]"),
+            ('"variant": "triplets", "items": [["a", "r", "b"], ["b", "r", "c"]]', "[2.0]"),
+            ('"variant": "paths", "items": [{"nodes": ["a"], "triples": []}]', "[]"),
+        ],
+    )
+    def test_misshapen_record_exits_2(self, tmp_path, mock_service, capsys, items, scores):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            f'{{{items}, "scores": {scores}, "prize_k": 15, "edge_cost": 1.0}}\n', encoding="utf-8"
+        )
+        svc = mock_service(echo_generation_behavior)
+        code = main(["generate", "--retrieved", str(bad), "--gen-url", svc.url])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1: bad record: ")
+        assert svc.calls == 0
+
+
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

@@ -1,14 +1,15 @@
-"""Graph model: construction invariants, neighborhoods, clustering, stats."""
+"""Graph model: construction invariants, incidence, clustering, stats."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgr.graph import (
     KnowledgeGraph,
@@ -118,44 +119,50 @@ def test_induced_matches_from_triples_on_endpoint_closed_masks(triples, isolated
         assert_same_graph(child, g)
 
 
-def test_indexes_partition_the_triples():
-    rng = random.Random(13)
-    g = random_graph(rng, 15, 40)
-    out_flat = [t for ts in g.out_index.values() for t in ts]
-    in_flat = [t for ts in g.in_index.values() for t in ts]
-    assert sorted(out_flat) == list(g.triples)
-    assert sorted(in_flat) == list(g.triples)
-    for e, ts in g.out_index.items():
-        assert all(t.subject == e for t in ts)
-    for e, ts in g.in_index.items():
-        assert all(t.object == e for t in ts)
+def test_induced_keeps_only_the_relations_its_triples_use():
+    # r1 is an orphan of the parent; each child keeps one of r0 and r2,
+    # so its relation ids are renumbered from 0.
+    g = KnowledgeGraph.from_triples([("a", "r0", "b"), ("b", "r2", "c")], extra_relations=["r1"])
+    everyone = np.ones(3, dtype=bool)
+    for kept in range(2):
+        triple_mask = np.arange(2) == kept
+        child = g._induced(triple_mask, everyone)
+        assert child.relations == {g.triples[kept].relation}
+        assert child.relation_ids.tolist() == [0]
+        assert_same_graph(child, KnowledgeGraph.from_triples([g.triples[kept]], extra_entities="abc"))
 
 
-def test_neighbors_diamond():
-    g = KnowledgeGraph.from_triples(DIAMOND)
-    assert g.undirected_neighbors["B"] == {"A", "D"}
-    assert g.undirected_neighbors["A"] == {"B", "C"}
-
-
-def test_neighbors_matches_linear_scan():
-    rng = random.Random(17)
-    for _ in range(30):
-        g = random_graph(rng, 12, 30, allow_self_loops=True)
-        for v in g.entity_order:
-            expected = set()
-            for s, r, o in g.triples:
-                if s == v:
-                    expected.add(o)
-                if o == v:
-                    expected.add(s)
-            assert g.undirected_neighbors[v] == expected
-
-
-def test_neighbors_excludes_self_without_loop():
-    g = KnowledgeGraph.from_triples([("A", "r", "B")])
-    assert "A" not in g.undirected_neighbors["A"]
-    looped = KnowledgeGraph.from_triples([("A", "r", "A"), ("A", "r", "B")])
-    assert "A" in looped.undirected_neighbors["A"]
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(st.sampled_from(NODES), st.sampled_from(["r0", "r1", "r2"]), st.sampled_from(NODES)),
+        max_size=20,
+    ),
+    isolated=st.lists(st.sampled_from(["lone0", "lone1"]), max_size=2),
+)
+@example(triples=[("e0", "r0", "e0"), ("e0", "r1", "e1")], isolated=["lone0"])
+@example(triples=[], isolated=[])
+def test_incidence_matches_a_linear_scan(triples, isolated):
+    # Self-loops, parallel edges, isolated entities and graphs without
+    # triples all occur.
+    g = KnowledgeGraph.from_triples(triples, extra_entities=isolated)
+    indptr, triple_ids = g.incidence
+    assert indptr.dtype == triple_ids.dtype == np.intp
+    for ids in (indptr, triple_ids):
+        assert not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[:1] = 0
+    assert len(indptr) == len(g.entity_order) + 1 and indptr[0] == 0
+    for i, v in enumerate(g.entity_order):
+        # A self-loop touches its entity twice, so it is listed twice.
+        expected = [j for j, t in enumerate(g.triples) for end in (t.subject, t.object) if end == v]
+        got = triple_ids[indptr[i] : indptr[i + 1]].tolist()
+        assert got == expected and got == sorted(got)
+        if v in isolated:
+            assert got == []
+    out_degree = Counter(t.subject for t in g.triples)
+    in_degree = Counter(t.object for t in g.triples)
+    assert np.diff(indptr).tolist() == [out_degree[v] + in_degree[v] for v in g.entity_order]
 
 
 def _one_relation(g: KnowledgeGraph) -> KnowledgeGraph:

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgr.graph import KnowledgeGraph, Triple
 from kgr.metrics import fit_baseline_scorer
+from kgr.ingest import serialize
 from kgr.perturb import (
     METHODS,
+    EditRecord,
     PerturbationSpec,
     edit_log_to_jsonl,
     normalize_method,
@@ -20,7 +22,7 @@ from kgr.perturb import (
     replay_edit_log,
     round_half_up,
 )
-from conftest import assert_same_graph, random_graph
+from conftest import assert_same_graph, neighbor_sets, random_graph
 
 LEVELS = (0.0, 0.1, 0.5, 1.0)
 
@@ -142,6 +144,7 @@ def test_edge_rewire_targets_non_neighbors():
     for seed in range(8):
         g = fixture_graph(seed=300 + seed, nodes=14, edges=20)
         result = perturb(g, PerturbationSpec("er", 0.7, seed))
+        nbrs = neighbor_sets(g)
         for rec in result.edit_log:
             if rec.skipped:
                 continue
@@ -150,7 +153,7 @@ def test_edge_rewire_targets_non_neighbors():
             v3 = rec.after.object
             assert v3 in g.entities
             assert v3 != rec.before.subject
-            assert v3 not in g.undirected_neighbors[rec.before.subject]
+            assert v3 not in nbrs[rec.before.subject]
 
 
 def test_edge_rewire_skips_when_no_candidate_exists():
@@ -315,6 +318,56 @@ def test_perturbed_graph_matches_a_fresh_build(triples, isolated, orphans, metho
     g = KnowledgeGraph.from_triples(triples, extra_entities=isolated, extra_relations=orphans)
     result = perturb(g, PerturbationSpec(method, level, seed)).graph
     assert_same_graph(result, KnowledgeGraph.from_triples(set(result.triples), extra_entities=g.entities))
+
+
+def string_set_edge_rewire(g, level, seed):
+    """Triples and edit log of the rewire rule on entity strings: neighbour
+    sets of strings, each draw mapped to its entity before the tests."""
+    rng = random.Random(seed)
+    shuffled = list(g.triples)
+    rng.shuffle(shuffled)
+    order, n = g.entity_order, len(g.entity_order)
+    adj = neighbor_sets(g)
+    current, log = set(g.triples), []
+    for e in shuffled[: round_half_up(level * len(shuffled))]:
+        nbrs = adj[e.subject]
+        tries = min(100, n - len(nbrs) - (e.subject not in nbrs))
+        tried, replacement = set(), None
+        while len(tried) < tries:
+            v3 = order[rng.randrange(n)]
+            if v3 == e.subject or v3 in nbrs or v3 in tried:
+                continue
+            tried.add(v3)
+            if Triple(e.subject, e.relation, v3) not in current:
+                replacement = Triple(e.subject, e.relation, v3)
+                break
+        if replacement is None:
+            log.append(EditRecord("edge_rewire_skipped", e, e))
+            continue
+        current = (current - {e}) | {replacement}
+        log.append(EditRecord("edge_rewire", e, replacement))
+    return current, log
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=triples_strategy,
+    lonely=st.sampled_from([0, 2, 130]),
+    level=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Every node is adjacent to every other: each pool is empty.
+@example(triples=[("a", "r1", "b"), ("b", "r1", "c"), ("c", "r1", "a")], lonely=0, level=1.0, seed=4)
+# A self-loop on the only subject; two isolated entities form its pool.
+@example(triples=[("a", "r1", "a"), ("a", "r2", "b")], lonely=2, level=1.0, seed=0)
+def test_edge_rewire_matches_string_set_reference(triples, lonely, level, seed):
+    # Self-loops occur; with 130 isolated entities most pools exceed the
+    # 100 tries, otherwise they are smaller or empty.
+    g = KnowledgeGraph.from_triples(triples, extra_entities=[f"z{i:03d}" for i in range(lonely)])
+    pg = perturb(g, PerturbationSpec("er", level, seed))
+    expected, log = string_set_edge_rewire(g, level, seed)
+    assert edit_log_to_jsonl(pg.edit_log) == edit_log_to_jsonl(log)
+    assert serialize(pg.graph) == serialize(KnowledgeGraph.from_triples(expected, extra_entities=g.entities))
 
 
 def copy_per_edit_relation_swap(g, level, seed):

@@ -17,6 +17,7 @@ from kgr.retrieval import (
     RetrievedKnowledge,
     _best_subtree,
     _expand_greedily,
+    _transformed_graph,
     ScoredPath,
     ScoredSubgraph,
     brute_force_best_path,
@@ -27,7 +28,7 @@ from kgr.retrieval import (
     retrieve_triplets,
     retrieved_from_json_dict,
 )
-from conftest import random_graph
+from conftest import in_edges, neighbor_sets, out_edges, random_graph
 
 
 def prizes_of(nodes=None, edges=None, cost=1.0, k=15):
@@ -47,11 +48,12 @@ def random_prizes(rng, g, cost=1.0):
 
 def assert_connected(g: KnowledgeGraph):
     nodes = sorted(g.entities)
+    adj = neighbor_sets(g)
     seen = {nodes[0]}
     frontier = [nodes[0]]
     while frontier:
         v = frontier.pop()
-        for u in g.undirected_neighbors[v]:
+        for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -171,6 +173,7 @@ def heap_and_collect_paths(g, prizes, start_count, max_len, result_count, direct
     its visited set, and a list of every path found."""
     starts = sorted(g.entity_order, key=lambda v: (-prizes.node_prize(v), v))[:start_count]
     cost = prizes.edge_cost
+    outs, ins = out_edges(g), in_edges(g)
     collected, heap, counter = [], [], itertools.count()
     for v in starts:
         score = prizes.node_prize(v)
@@ -181,9 +184,9 @@ def heap_and_collect_paths(g, prizes, start_count, max_len, result_count, direct
         score = -neg_score
         if len(edges) >= max_len:
             continue
-        incident = [(t, t.object) for t in g.out_index[nodes[-1]]]
+        incident = [(t, t.object) for t in outs[nodes[-1]]]
         if not directed_only:
-            incident += [(t, t.subject) for t in g.in_index[nodes[-1]]]
+            incident += [(t, t.subject) for t in ins[nodes[-1]]]
         for t, nxt in incident:
             if nxt in visited:
                 continue
@@ -232,6 +235,7 @@ def string_walk_paths(g, prizes, start_count, max_len, result_count, directed_on
     dict prize lookup per step: the reference for the integer-id walk."""
     starts = sorted(g.entity_order, key=lambda v: (-prizes.node_prize(v), v))[:start_count]
     cost = prizes.edge_cost
+    outs, ins = out_edges(g), in_edges(g)
 
     def simple_paths():
         stack = [(prizes.node_prize(v), (v,), ()) for v in starts]
@@ -241,9 +245,9 @@ def string_walk_paths(g, prizes, start_count, max_len, result_count, directed_on
             score, nodes, edges = path
             if len(edges) >= max_len:
                 continue
-            incident = [(t, t.object) for t in g.out_index[nodes[-1]]]
+            incident = [(t, t.object) for t in outs[nodes[-1]]]
             if not directed_only:
-                incident += [(t, t.subject) for t in g.in_index[nodes[-1]]]
+                incident += [(t, t.subject) for t in ins[nodes[-1]]]
             for t, nxt in incident:
                 if nxt not in nodes:
                     nscore = score + prizes.node_prize(nxt) + prizes.edge_prize(t) - cost
@@ -410,6 +414,19 @@ def test_retrieve_wrapper_and_json_round_trip():
         retrieve(g, prizes, variant="bogus")
 
 
+def test_json_records_of_the_wrong_shape_are_rejected():
+    base = {"prize_k": 15, "edge_cost": 1.0}
+    path = {"nodes": ["A"], "triples": []}
+    for record, message in [
+        ({"variant": "subgraph", "items": [], "scores": []}, "one item, not 0"),
+        ({"variant": "subgraph", "items": [path, path], "scores": [1.0, 2.0]}, "one item, not 2"),
+        ({"variant": "triplets", "items": [["A", "r", "B"]], "scores": []}, "1 items but 0 scores"),
+        ({"variant": "paths", "items": [path], "scores": [1.0, 2.0]}, "1 items but 2 scores"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            retrieved_from_json_dict({**record, **base})
+
+
 def test_retrieved_triples_per_variant():
     prizes = prizes_of({"A": 3.0, "B": 2.0, "C": 1.0})
     t_ab, t_bc = Triple("A", "r", "B"), Triple("B", "r", "C")
@@ -474,7 +491,12 @@ def test_greedy_expansion_matches_full_scan():
         nodes = {v for t in start for v in (t.subject, t.object)} or {rng.choice(g.entity_order)}
         expected_nodes, expected_triples = set(nodes), set(start)
         full_scan_expand(g, prizes, expected_nodes, expected_triples)
-        _expand_greedily(g, prizes, nodes, start)
+        # The library expands entity and triple id sets.
+        node_ids = {g.entity_index[v] for v in nodes}
+        triple_ids = {g.triples.index(t) for t in start}
+        _expand_greedily(_transformed_graph(g, prizes), node_ids, triple_ids)
+        nodes = {g.entity_order[v] for v in node_ids}
+        start = {g.triples[t] for t in triple_ids}
         assert (nodes, start) == (expected_nodes, expected_triples)
         grown += len(start) > 3
     assert grown > 20
@@ -577,7 +599,8 @@ def tuple_keyed_pcst(g, prizes):
 
     prized = sorted((k for k, p in prize_of.items() if p > 0.0), key=lambda k: (-prize_of[k], k))
     if not prized:
-        degree = {v: len(g.out_index[v]) + len(g.in_index[v]) for v in g.entity_order}
+        outs, ins = out_edges(g), in_edges(g)
+        degree = {v: len(outs[v]) + len(ins[v]) for v in g.entity_order}
         best = min(g.entity_order, key=lambda v: (-degree[v], v))
         return ScoredSubgraph(KnowledgeGraph.from_triples((), extra_entities=(best,)), 0.0)
     best_result, reached = None, set()
@@ -596,6 +619,7 @@ def tuple_keyed_pcst(g, prizes):
 
 
 def component_count(g):
+    adj = neighbor_sets(g)
     seen, count = set(), 0
     for v in g.entity_order:
         if v in seen:
@@ -604,7 +628,7 @@ def component_count(g):
         seen.add(v)
         stack = [v]
         while stack:
-            for u in g.undirected_neighbors[stack.pop()]:
+            for u in adj[stack.pop()]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -644,7 +668,7 @@ def test_pcst_matches_tuple_keyed_reference():
         seen.add((style, cost))
         seen.add(("self-loop", any(t.subject == t.object for t in g.triples)))
         seen.add(("parallel", len({(t.subject, t.object) for t in g.triples}) < len(g.triples)))
-        seen.add(("isolated", any(not g.undirected_neighbors[v] for v in g.entities)))
+        seen.add(("isolated", not all(neighbor_sets(g).values())))
         seen.add(("components", min(component_count(g), 3)))
         for t, p in prizes.edge_prizes.items():
             seen.add(("edge prize", (p > cost) - (p < cost)))

@@ -62,13 +62,9 @@ def test_extract_and_prune_calls_its_stages_by_module_name(monkeypatch):
     assert calls == {"khop_subgraph": 1, "personalized_pagerank": 1, "prune_by_ppr": 1}
 
 
-def test_perturb_builds_its_graph_through_from_triples_once(monkeypatch):
-    # Traced damage runs see the graph layer only through from_triples,
-    # wrapped on the class as the tracer does it; a perturbed graph built
-    # any other way leaves that heavy layer without spans.
-    g = KnowledgeGraph.from_triples(
-        [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r1", "d"), ("a", "r2", "d")]
-    )
+def count_from_triples(monkeypatch) -> list:
+    """Wrap ``from_triples`` on the class, as the tracer does it, and
+    return the list that each call appends its class to."""
     builds = []
     from_triples = KnowledgeGraph.__dict__["from_triples"].__func__
 
@@ -77,11 +73,40 @@ def test_perturb_builds_its_graph_through_from_triples_once(monkeypatch):
         return from_triples(cls, *args, **kwargs)
 
     monkeypatch.setattr(KnowledgeGraph, "from_triples", classmethod(counted))
+    return builds
+
+
+def test_perturb_builds_its_graph_through_from_triples_once(monkeypatch):
+    # Traced damage runs see the graph layer only through from_triples,
+    # wrapped on the class as the tracer does it; a perturbed graph built
+    # any other way leaves that heavy layer without spans.
+    g = KnowledgeGraph.from_triples(
+        [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r1", "d"), ("a", "r2", "d")]
+    )
+    builds = count_from_triples(monkeypatch)
     for method in kgr.METHODS:
         for level in (0.0, 0.5, 1.0):
             builds.clear()
             kgr.perturb(g, kgr.PerturbationSpec(method, level, 7))
             assert builds == [KnowledgeGraph], (method, level)
+
+
+def test_pcst_builds_its_subgraph_through_from_triples_once(monkeypatch):
+    # In traced qa this call is the graph layer's only per-op span; a
+    # subgraph built any other way leaves that heavy layer without spans.
+    g = KnowledgeGraph.from_triples(
+        [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r1", "d"), ("x", "r1", "y")]
+    )
+    builds = count_from_triples(monkeypatch)
+    prize_maps = [
+        ({}, {}),  # no prizes: the highest-degree entity alone
+        ({"a": 3.0, "d": 2.0, "x": 1.0}, {}),
+        ({}, {kgr.Triple("b", "r2", "c"): 4.0}),
+    ]
+    for nodes, edges in prize_maps:
+        builds.clear()
+        kgr.retrieve_subgraph_pcst(g, kgr.PrizeAssignment(nodes, edges))
+        assert builds == [KnowledgeGraph], (nodes, edges)
 
 
 def test_observed_fields_exist():
