@@ -22,6 +22,7 @@ from .ingest import (
     khop_subgraph,
     parse_triples,
     read_graph,
+    read_queries,
     serialize,
 )
 from .metrics import (
@@ -124,6 +125,7 @@ __all__ = [
     "rank_elements",
     "rank_graph_elements",
     "read_graph",
+    "read_queries",
     "relation_subgraph",
     "render_knowledge",
     "replay_edit_log",

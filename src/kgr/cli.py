@@ -37,21 +37,21 @@ from concurrent.futures import ThreadPoolExecutor
 import yaml
 
 from .graph import EntityNotFoundError, KnowledgeGraph, graph_stats
-from .ingest import FORMAT_TSV, FORMATS, ParseError, read_graph, serialize
+from .ingest import FORMAT_TSV, FORMATS, jsonl_line, read_graph, read_queries, serialize
 from .metrics import compare
 from .perturb import (
     METHODS,
     PerturbationSpec,
     PerturbedGraph,
     REPLACE_LEAST_PLAUSIBLE,
-    REPLACE_MOST_PLAUSIBLE,
+    REPLACE_MODES,
     edit_log_to_jsonl,
     normalize_method,
     perturb,
 )
 from .ppr import PprConfig, extract_and_prune
 from .relevance import EMBED_TOKEN_ENV, EMBED_URL_ENV, HashedBagEmbedder, ServiceEmbedder
-from .retrieval import VARIANT_TRIPLETS, VARIANTS, retrieved_from_json_dict
+from .retrieval import VARIANT_TRIPLETS, VARIANTS, read_retrieved
 from .sweep import retrieve_for_question, run_sweep
 from .textgen import (
     DEFAULT_TEMPERATURE,
@@ -69,10 +69,6 @@ logger = logging.getLogger(__name__)
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _dump_jsonl_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -129,46 +125,6 @@ def _need(args: argparse.Namespace, key: str):
     return value
 
 
-def _read_graph_checked(path: str, fmt: str) -> KnowledgeGraph:
-    try:
-        return read_graph(path, fmt)
-    except ParseError as exc:
-        raise ValueError(f"{path}: {exc}")
-
-
-def _load_queries(path: str) -> list[dict]:
-    queries: list[dict] = []
-    seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}")
-            if not isinstance(rec, dict):
-                raise ValueError(f"{path}:{lineno}: each query must be a JSON object")
-            qid = rec.get("id")
-            question = rec.get("question")
-            if not isinstance(qid, str) or not qid:
-                raise ValueError(f"{path}:{lineno}: missing string field 'id'")
-            if qid in seen_ids:
-                raise ValueError(f"{path}:{lineno}: duplicate query id {qid!r}")
-            seen_ids.add(qid)
-            if not isinstance(question, str) or not question.strip():
-                raise ValueError(f"{path}:{lineno}: missing string field 'question'")
-            seeds = rec.get("seeds", [])
-            if not isinstance(seeds, list) or any(
-                not isinstance(s, str) or not s for s in seeds
-            ):
-                raise ValueError(f"{path}:{lineno}: 'seeds' must be a list of ids")
-            queries.append({"id": qid, "question": question, "seeds": seeds})
-    if not queries:
-        raise ValueError(f"{path}: no queries found")
-    return queries
-
-
 def _embedder(args: argparse.Namespace):
     url = args.embed_url or os.environ.get(EMBED_URL_ENV)
     if url:
@@ -189,7 +145,7 @@ def _retrieval_settings(args: argparse.Namespace) -> dict:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    g = _read_graph_checked(_need(args, "graph"), args.format)
+    g = read_graph(_need(args, "graph"), args.format)
     _emit(_dump_json(dataclasses.asdict(graph_stats(g))), args.out)
     return 0
 
@@ -201,7 +157,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         max_iter=args.max_iter,
         prune_threshold=args.prune_threshold,
     )
-    g = _read_graph_checked(_need(args, "graph"), args.format)
+    g = read_graph(_need(args, "graph"), args.format)
     if (args.seeds is None) == (args.queries is None):
         raise ValueError("provide exactly one of --seeds or --queries")
 
@@ -212,7 +168,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         _emit(serialize(run(args.seeds)), args.out)
         return 0
 
-    queries = _load_queries(args.queries)
+    queries = read_queries(args.queries)
     out_dir = _need(args, "out")
     results = []
     for q in queries:
@@ -225,20 +181,20 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
-    queries = _load_queries(_need(args, "queries"))
+    queries = read_queries(_need(args, "queries"))
     if (args.graph is None) == (args.graph_dir is None):
         raise ValueError("provide exactly one of --graph or --graph-dir")
     provider, settings = _embedder(args), _retrieval_settings(args)
-    shared = _read_graph_checked(args.graph, args.format) if args.graph else None
+    shared = read_graph(args.graph, args.format) if args.graph else None
     lines: list[str] = []
     for q in queries:
         if shared is not None:
             g = shared
         else:
-            g = _read_graph_checked(os.path.join(args.graph_dir, f"{q['id']}.tsv"), args.format)
+            g = read_graph(os.path.join(args.graph_dir, f"{q['id']}.tsv"), args.format)
         result = retrieve_for_question(g, q["question"], provider, settings)
         record = {"id": q["id"], "question": q["question"], **result.to_json_dict()}
-        lines.append(_dump_jsonl_line(record))
+        lines.append(jsonl_line(record))
     _emit("".join(lines), args.out)
     return 0
 
@@ -255,21 +211,14 @@ def _perturb_and_warn(g: KnowledgeGraph, spec: PerturbationSpec, **options) -> P
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    g = _read_graph_checked(_need(args, "graph"), args.format)
+    g = read_graph(_need(args, "graph"), args.format)
     spec = PerturbationSpec(
         method=_need(args, "method"), level=_need(args, "level"), seed=args.seed
     )
     result = _perturb_and_warn(g, spec, replace_mode=args.replace_mode)
     _emit(serialize(result.graph), args.out)
     if args.edit_log:
-        header = _dump_jsonl_line(
-            {
-                "record_type": "header",
-                "method": spec.method,
-                "level": spec.level,
-                "seed": spec.seed,
-            }
-        )
+        header = jsonl_line({"record_type": "header", **dataclasses.asdict(spec)})
         _atomic_write(args.edit_log, header + edit_log_to_jsonl(result.edit_log))
     return 0
 
@@ -285,10 +234,10 @@ def _aligned_perturbed(g: KnowledgeGraph, gp: KnowledgeGraph) -> KnowledgeGraph:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    g = _read_graph_checked(_need(args, "graph"), args.format)
+    g = read_graph(_need(args, "graph"), args.format)
     method, level, seed = args.method, args.level, args.seed
     if args.perturbed:
-        gp = _aligned_perturbed(g, _read_graph_checked(args.perturbed, args.format))
+        gp = _aligned_perturbed(g, read_graph(args.perturbed, args.format))
     else:
         if method is None or level is None:
             raise ValueError("without --perturbed, both --method and --level are required")
@@ -305,15 +254,15 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    g = _read_graph_checked(_need(args, "graph"), args.format)
-    queries = _load_queries(_need(args, "queries"))
+    g = read_graph(_need(args, "graph"), args.format)
+    queries = read_queries(_need(args, "queries"))
     out_dir = _need(args, "out")
     records, curves, meta = run_sweep(
         g, queries, methods=args.methods, levels=args.levels, num_seeds=args.num_seeds,
         root_seed=args.seed, settings=_retrieval_settings(args), provider=_embedder(args),
         replace_mode=args.replace_mode,
     )
-    _atomic_write(os.path.join(out_dir, "records.jsonl"), "".join(map(_dump_jsonl_line, records)))
+    _atomic_write(os.path.join(out_dir, "records.jsonl"), "".join(map(jsonl_line, records)))
     _atomic_write(os.path.join(out_dir, "curves.csv"), "\n".join(curves) + "\n")
     _atomic_write(os.path.join(out_dir, "meta.json"), _dump_json(meta))
     if meta["failed_cells"]:
@@ -337,27 +286,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         template = PromptTemplate.default()
 
-    records = []
-    with open(retrieved_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{retrieved_path}:{lineno}: not valid JSON: {exc}")
-            if rec.get("record_type") == "header":
-                continue
-            try:
-                knowledge = retrieved_from_json_dict(rec)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{retrieved_path}:{lineno}: bad record: {exc}")
-            records.append(
-                (rec.get("id", f"line{lineno}"), rec.get("question", ""), knowledge)
-            )
-    if not records:
-        raise ValueError(f"{retrieved_path}: no retrieval records found")
-
+    prompts = [
+        (qid, question, build_prompt(question, knowledge, template))
+        for qid, question, knowledge in read_retrieved(retrieved_path)
+    ]
     client = GenerationClient(
         url=url,
         token=token,
@@ -367,10 +299,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         backoff=args.backoff,
     )
-    prompts = [
-        (qid, question, build_prompt(question, knowledge, template))
-        for qid, question, knowledge in records
-    ]
     pool_size = min(client.max_in_flight, len(prompts))
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
         answers = list(pool.map(lambda item: client.generate(item[2]), prompts))
@@ -379,7 +307,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     latencies = {}
     for (qid, question, prompt), answer in zip(prompts, answers):
         lines.append(
-            _dump_jsonl_line(
+            jsonl_line(
                 {
                     "id": qid,
                     "question": question,
@@ -476,7 +404,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     replacing = parent()
     replacing.add_argument(
         "--replace-mode",
-        choices=[REPLACE_LEAST_PLAUSIBLE, REPLACE_MOST_PLAUSIBLE],
+        choices=REPLACE_MODES,
         default=REPLACE_LEAST_PLAUSIBLE,
         help="relation_replace candidate order (default %(default)s)",
     )

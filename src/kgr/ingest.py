@@ -1,6 +1,6 @@
-"""Triple file parsing, canonical serialization, and K-hop extraction.
+"""Record file formats, canonical serialization, and K-hop extraction.
 
-Two line-oriented formats are supported:
+Two line-oriented triple formats are supported:
 
 * ``tsv``: ``subject<TAB>relation<TAB>object`` per line, UTF-8, no quoting.
 * ``nt``: an N-Triples subset where all three terms are IRIs in angle
@@ -10,13 +10,15 @@ Two line-oriented formats are supported:
 Canonical serialization is the TSV format with triples in lexicographic
 order, so serializing the same graph always yields identical bytes.
 Isolated entities have no representation in the triple formats and are
-dropped on a serialize/parse round trip.
+dropped on a serialize/parse round trip.  Every other kgr record file is
+JSONL, written by :func:`jsonl_line` and read by :func:`jsonl_records`.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -105,8 +107,67 @@ def serialize(g: KnowledgeGraph) -> str:
 
 
 def read_graph(path: str, fmt: str = FORMAT_TSV) -> KnowledgeGraph:
+    """:func:`parse_triples` on the file at ``path``; errors name the path."""
     with open(path, "rb") as fh:
-        return parse_triples(fh, fmt)
+        try:
+            return parse_triples(fh, fmt)
+        except ParseError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
+
+
+def jsonl_line(record) -> str:
+    """One JSONL line with sorted keys and no spaces: equal records, equal bytes."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, record)`` per JSON object line, skipping blank and
+    ``{"record_type": "header", ...}`` lines.  A line that is not a JSON
+    object raises ``ValueError`` starting with ``<source>:<lineno>:``."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{source}:{lineno}: not valid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{source}:{lineno}: each record must be a JSON object")
+        if record.get("record_type") != "header":
+            yield lineno, record
+
+
+def read_queries(path: str) -> list[dict]:
+    """Read a queries JSONL file into ``{"id", "question", "seeds"}`` dicts.
+
+    Ids are unique and usable as file names (no ``/`` or ``\\``, not ``.``
+    or ``..``): extract and retrieve name per-query files after them.  A bad
+    record raises ``ValueError`` naming ``path:line``."""
+    queries: list[dict] = []
+    seen_ids: set[str] = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, rec in jsonl_records(fh, path):
+            qid = rec.get("id")
+            question = rec.get("question")
+            if not isinstance(qid, str) or not qid:
+                raise ValueError(f"{path}:{lineno}: missing string field 'id'")
+            if qid in (".", "..") or "/" in qid or "\\" in qid:
+                raise ValueError(f"{path}:{lineno}: query id {qid!r} is not a usable file name")
+            if qid in seen_ids:
+                raise ValueError(f"{path}:{lineno}: duplicate query id {qid!r}")
+            seen_ids.add(qid)
+            if not isinstance(question, str) or not question.strip():
+                raise ValueError(f"{path}:{lineno}: missing string field 'question'")
+            seeds = rec.get("seeds", [])
+            if not isinstance(seeds, list) or any(
+                not isinstance(s, str) or not s for s in seeds
+            ):
+                raise ValueError(f"{path}:{lineno}: 'seeds' must be a list of ids")
+            queries.append({"id": qid, "question": question, "seeds": seeds})
+    if not queries:
+        raise ValueError(f"{path}: no queries found")
+    return queries
 
 
 def khop_subgraph(g: KnowledgeGraph, seeds: Sequence[str], hops: int = 2) -> KnowledgeGraph:

@@ -19,13 +19,13 @@ method edits one working triple set in place; the graph is built once.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import KnowledgeGraph, Triple
+from .ingest import jsonl_line, jsonl_records
 from .metrics import fit_baseline_scorer
 
 METHOD_RELATION_SWAP = "relation_swap"
@@ -48,6 +48,7 @@ _ALIASES = {
 
 REPLACE_LEAST_PLAUSIBLE = "least_plausible"
 REPLACE_MOST_PLAUSIBLE = "most_plausible"
+REPLACE_MODES = (REPLACE_LEAST_PLAUSIBLE, REPLACE_MOST_PLAUSIBLE)
 
 _SKIP_SUFFIX = "_skipped"
 
@@ -90,22 +91,6 @@ class EditRecord:
     @property
     def skipped(self) -> bool:
         return self.op.endswith(_SKIP_SUFFIX)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "before": list(self.before),
-            "after": list(self.after) if self.after is not None else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EditRecord":
-        after = d.get("after")
-        return cls(
-            op=d["op"],
-            before=Triple(*d["before"]),
-            after=Triple(*after) if after is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -154,8 +139,6 @@ def _relation_swap(g: KnowledgeGraph, level: float, seed: int):
 def _relation_replace(
     g: KnowledgeGraph, level: float, seed: int, scorer, mode: str
 ):
-    if mode not in (REPLACE_LEAST_PLAUSIBLE, REPLACE_MOST_PLAUSIBLE):
-        raise ValueError(f"unknown replace mode {mode!r}")
     shuffled, _ = _shuffled_triples(g, seed)
     targets = shuffled[: round_half_up(level * len(shuffled))]
     if targets and scorer is None:
@@ -247,12 +230,15 @@ def perturb(
 ) -> PerturbedGraph:
     """Apply one perturbation method at ``spec.level`` to ``g``.
 
-    ``scorer`` is only consulted by ``relation_replace`` and defaults to
-    the baseline frequency scorer, fitted on ``g`` only when there is an
-    edge to replace.  The returned graph keeps the original entity set;
-    all edits (and skips, e.g. when a rewire target pool is empty) are
-    recorded in application order.
+    ``scorer`` and ``replace_mode`` are only used by ``relation_replace``,
+    but a bad ``replace_mode`` raises ``ValueError`` for every method.  The
+    scorer defaults to the baseline frequency scorer, fitted on ``g`` only
+    when there is an edge to replace.  The returned graph keeps the original
+    entity set; all edits (and skips, e.g. when a rewire target pool is
+    empty) are recorded in application order.
     """
+    if replace_mode not in REPLACE_MODES:
+        raise ValueError(f"unknown replace mode {replace_mode!r}")
     if spec.method == METHOD_RELATION_SWAP:
         triples, log = _relation_swap(g, spec.level, spec.seed)
     elif spec.method == METHOD_RELATION_REPLACE:
@@ -287,24 +273,25 @@ def replay_edit_log(
 
 
 def edit_log_to_jsonl(edit_log: Iterable[EditRecord]) -> str:
+    """One ``{"op", "before", "after"}`` JSONL line per edit; triples are
+    ``[s, r, o]`` lists and ``after`` is null for a deletion."""
     return "".join(
-        json.dumps(rec.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        for rec in edit_log
+        jsonl_line({"op": rec.op, "before": rec.before, "after": rec.after}) for rec in edit_log
     )
 
 
 def parse_edit_log(text: str) -> list[EditRecord]:
-    """Parse a JSONL edit log, skipping blank and header lines.
+    """Parse a JSONL edit log into its edit records.
 
-    Log files written by the CLI open with a ``{"record_type": "header",
-    ...}`` line describing the run; only edit records are returned.
+    Blank lines and the header line the CLI writes first are skipped; any
+    other line that is not an edit record raises ``ValueError`` naming it.
     """
     records = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        if isinstance(d, dict) and d.get("record_type") == "header":
-            continue
-        records.append(EditRecord.from_json_dict(d))
+    for lineno, d in jsonl_records(text.splitlines(), "edit log"):
+        try:
+            after = d.get("after")
+            before = Triple(*d["before"])
+            records.append(EditRecord(d["op"], before, Triple(*after) if after is not None else None))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"edit log:{lineno}: bad record: {exc}") from None
     return records

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import KnowledgeGraph, Triple
+from .ingest import jsonl_records
 from .relevance import PrizeAssignment
 
 VARIANT_TRIPLETS = "triplets"
@@ -268,6 +269,22 @@ def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
             subgraph=ScoredSubgraph(subgraph=sub, score=float(scores[0])),
         )
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def read_retrieved(path: str) -> list[tuple[str, str, RetrievedKnowledge]]:
+    """Read a ``kgr retrieve`` JSONL file as ``(id, question, knowledge)``
+    tuples; a misshapen record or an empty file raises ``ValueError``."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, rec in jsonl_records(fh, path):
+            try:
+                knowledge = retrieved_from_json_dict(rec)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad record: {exc}")
+            records.append((rec.get("id", f"line{lineno}"), rec.get("question", ""), knowledge))
+    if not records:
+        raise ValueError(f"{path}: no retrieval records found")
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph
 from .metrics import compare, fit_baseline_scorer
-from .perturb import PerturbationSpec, normalize_method, perturb
+from .perturb import REPLACE_MODES, PerturbationSpec, normalize_method, perturb
 from .relevance import HashedBagEmbedder, assign_prizes, rank_graph_elements
 from .retrieval import RetrievedKnowledge, retrieve
 
@@ -82,9 +82,11 @@ def run_sweep(
     edits per cell (None for a failed cell) and the embedder memo's
     counters.  One embedder serves every ranking; without a ``provider``
     it is a fresh memoizing fallback.  Raises ``ValueError`` for an empty
-    grid, a bad method or level, or a graph without triples.
+    grid, a bad method, level or replace mode, or a graph without triples.
     """
     methods = [normalize_method(m) for m in methods]
+    if replace_mode not in REPLACE_MODES:
+        raise ValueError(f"unknown replace mode {replace_mode!r}")
     if not methods or not levels or not queries:
         raise ValueError("queries, methods and levels must be non-empty")
     if num_seeds < 1:

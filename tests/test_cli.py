@@ -122,6 +122,21 @@ class TestExtract:
         assert code == 2
         assert not (out_dir / "ok.tsv").exists()
 
+    @pytest.mark.parametrize("qid", ["../escaped", "a/b", "a\\b", ".", ".."])
+    def test_query_id_that_is_no_file_name_writes_nothing(self, graph_file, tmp_path, capsys, qid):
+        path, _ = graph_file
+        queries = tmp_path / "q.jsonl"
+        row = {"id": qid, "question": "x", "seeds": ["e0"]}
+        queries.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "outs"
+        code = main(
+            ["extract", "--graph", path, "--queries", str(queries), "--out", str(out_dir)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {queries}:1: query id ")
+        assert not out_dir.exists()
+        assert not (tmp_path / "escaped.tsv").exists()
+
     def test_bad_hops(self, graph_file):
         path, _ = graph_file
         assert main(["extract", "--graph", path, "--seeds", "e0", "--hops", "-1"]) == 2
@@ -177,6 +192,22 @@ class TestRetrieve:
         )
         assert code == 0
         assert read_jsonl(out)[0]["id"] == "q1"
+
+    def test_query_id_that_is_no_file_name_reads_nothing(self, graph_file, tmp_path, monkeypatch):
+        path, g = graph_file
+        gdir = tmp_path / "per_query"
+        gdir.mkdir()
+        (tmp_path / "escaped.tsv").write_text(serialize(g), encoding="utf-8")
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"id": "../escaped", "question": "x"}) + "\n", encoding="utf-8")
+        opened = []
+        real_read_graph = kgr.cli.read_graph
+        monkeypatch.setattr(
+            kgr.cli, "read_graph", lambda p, fmt: opened.append(p) or real_read_graph(p, fmt)
+        )
+        code = main(["retrieve", "--graph-dir", str(gdir), "--queries", str(queries)])
+        assert code == 2
+        assert opened == []
 
     def test_graph_xor_graph_dir(self, graph_file, queries_file, tmp_path):
         path, _ = graph_file
@@ -767,6 +798,15 @@ class TestGenerate:
         code = main(["generate", "--retrieved", str(bad), "--gen-url", svc.url])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:1: bad record: ")
+        assert svc.calls == 0
+
+    def test_non_object_record_exits_2(self, tmp_path, mock_service, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1, 2]\n", encoding="utf-8")
+        svc = mock_service(echo_generation_behavior)
+        code = main(["generate", "--retrieved", str(bad), "--gen-url", svc.url])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}:1: each record must be a JSON object\n"
         assert svc.calls == 0
 
 

@@ -7,13 +7,17 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kgr.graph import EntityNotFoundError, KnowledgeGraph, Triple
 from kgr.ingest import (
     FORMAT_NT,
     ParseError,
+    jsonl_line,
+    jsonl_records,
     khop_subgraph,
     parse_triples,
+    read_queries,
     serialize,
 )
 from conftest import random_graph
@@ -167,3 +171,40 @@ def test_khop_monotone_in_hops():
             current = set(sub.triples)
             assert previous <= current
             previous = current
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+_RECORDS = st.dictionaries(st.text(), _JSON_VALUES, max_size=4).filter(
+    lambda record: record.get("record_type") != "header"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["record", "blank", "header"]), _RECORDS), max_size=8))
+@example([("record", {"q": "Straße → 東京", "x": -0.1, "e": [], "d": {}}), ("blank", {})])
+def test_jsonl_codec_round_trip(lines):
+    text, expected = "", []
+    for lineno, (kind, record) in enumerate(lines, start=1):
+        if kind == "record":
+            text += jsonl_line(record)
+            expected.append((lineno, record))
+        elif kind == "blank":
+            text += " \t\n"
+        else:
+            text += jsonl_line({**record, "record_type": "header"})
+    assert text.count("\n") == len(lines)
+    assert list(jsonl_records(io.StringIO(text), "f")) == expected
+    assert list(jsonl_records(text.splitlines(), "f")) == expected
+
+
+def test_read_queries_skips_blank_and_header_lines(tmp_path):
+    path = tmp_path / "q.jsonl"
+    path.write_text(
+        '{"record_type": "header", "note": "no id"}\n\n{"id": "q1", "question": "x"}\n',
+        encoding="utf-8",
+    )
+    assert read_queries(str(path)) == [{"id": "q1", "question": "x", "seeds": []}]

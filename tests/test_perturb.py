@@ -244,9 +244,12 @@ def test_relation_replace_modes_differ():
 
 
 def test_relation_replace_rejects_unknown_mode():
+    # The mode is checked up front, so a method that never reads it
+    # rejects a bad one too.
     g = fixture_graph()
-    with pytest.raises(ValueError):
-        perturb(g, PerturbationSpec("rr", 0.5, 0), replace_mode="median")
+    for method in ("rr", "ed"):
+        with pytest.raises(ValueError, match="unknown replace mode 'median'"):
+            perturb(g, PerturbationSpec(method, 0.5, 0), replace_mode="median")
 
 
 def test_replay_reproduces_perturbed_graph():
@@ -424,3 +427,19 @@ def test_parse_edit_log_skips_header_lines():
     log = perturb(g, PerturbationSpec("er", 0.5, 9)).edit_log
     header = '{"record_type": "header", "method": "er", "level": 0.5, "seed": 9}\n'
     assert parse_edit_log(header + edit_log_to_jsonl(log)) == list(log)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"op": "edge_delete", "before": ["a", "r"', "edit log:2: not valid JSON: "),
+        ('["edge_delete", ["a", "r", "b"], null]', "edit log:2: each record must be a JSON object"),
+        ('{"op": "edge_delete", "after": null}', "edit log:2: bad record: 'before'"),
+        ('{"op": "edge_delete", "before": ["a", "r"]}', "edit log:2: bad record: "),
+    ],
+)
+def test_parse_edit_log_names_the_bad_line(line, message):
+    good = '{"after":null,"before":["a","r","b"],"op":"edge_delete"}\n'
+    with pytest.raises(ValueError) as excinfo:
+        parse_edit_log(good + line + "\n")
+    assert str(excinfo.value).startswith(message)

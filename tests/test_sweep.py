@@ -111,6 +111,7 @@ def test_omitted_settings_take_the_library_defaults(graph):
         {"num_seeds": 0},
         {"levels": [0.0, 1.5]},
         {"methods": ["ed", "melt"]},
+        {"methods": ["ed", "rr"], "replace_mode": "bogus"},
     ],
 )
 def test_bad_grid_raises_before_any_cell(graph, overrides, monkeypatch):
