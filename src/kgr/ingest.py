@@ -138,6 +138,21 @@ def jsonl_records(lines: Iterable[str], source: str) -> Iterator[tuple[int, dict
             yield lineno, record
 
 
+def is_id_list(value, length: int | None = None) -> bool:
+    """Whether a JSON value is a list of non-empty strings (``length`` of them, if given)."""
+    sized = isinstance(value, list) and length in (None, len(value))
+    return sized and all(isinstance(x, str) and x for x in value)
+
+
+def json_triple(value) -> Triple:
+    """The triple a JSON record stores as ``[s, r, o]``; any other value
+    (a string, a list of other length or with a non-string or empty
+    member) raises ``ValueError``."""
+    if not is_id_list(value, 3):
+        raise ValueError(f"a triple must be a list of three non-empty strings, not {value!r}")
+    return Triple(*value)
+
+
 def read_queries(path: str) -> list[dict]:
     """Read a queries JSONL file into ``{"id", "question", "seeds"}`` dicts.
 
@@ -160,9 +175,7 @@ def read_queries(path: str) -> list[dict]:
             if not isinstance(question, str) or not question.strip():
                 raise ValueError(f"{path}:{lineno}: missing string field 'question'")
             seeds = rec.get("seeds", [])
-            if not isinstance(seeds, list) or any(
-                not isinstance(s, str) or not s for s in seeds
-            ):
+            if not is_id_list(seeds):
                 raise ValueError(f"{path}:{lineno}: 'seeds' must be a list of ids")
             queries.append({"id": qid, "question": question, "seeds": seeds})
     if not queries:

@@ -10,11 +10,14 @@ Four heuristics, each parameterized by a level rho in [0, 1] and a seed:
   sampling over entity ids; at most 100 candidates are tried.
 * ``edge_delete``      -- chosen edges are removed outright.
 
-The entity set is never changed, every edit is logged, and replaying the
-log against the original graph reproduces the perturbed graph exactly.
 Edges are chosen by deterministically shuffling the canonical triple
-order with the given seed, so equal inputs give equal outputs.  Each
-method edits one working triple set in place; the graph is built once.
+order with the given seed, once per call, so equal inputs give equal
+outputs.  Replace and rewire share one loop: the first candidate not yet
+in the working triple set replaces the edge, and an edge with no
+candidate left is logged as skipped.  The entity set is never changed and
+every edit is logged; the perturbed graph is built by replaying that log
+against the original graph (:func:`replay_edit_log`), so a logged run
+reproduces its graph exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import filterfalse
+from typing import Iterable, Iterator, Sequence
 
 from .graph import KnowledgeGraph, Triple
-from .ingest import jsonl_line, jsonl_records
+from .ingest import json_triple, jsonl_line, jsonl_records
 from .metrics import fit_baseline_scorer
 
 METHOD_RELATION_SWAP = "relation_swap"
@@ -51,6 +56,7 @@ REPLACE_MOST_PLAUSIBLE = "most_plausible"
 REPLACE_MODES = (REPLACE_LEAST_PLAUSIBLE, REPLACE_MOST_PLAUSIBLE)
 
 _SKIP_SUFFIX = "_skipped"
+_OPS = METHODS + tuple(m + _SKIP_SUFFIX for m in METHODS)
 
 
 def normalize_method(name: str) -> str:
@@ -104,17 +110,8 @@ class PerturbedGraph:
         return sum(rec.skipped for rec in self.edit_log)
 
 
-def _shuffled_triples(g: KnowledgeGraph, seed: int) -> tuple[list[Triple], random.Random]:
-    rng = random.Random(seed)
-    order = list(g.triples)
-    rng.shuffle(order)
-    return order, rng
-
-
-def _relation_swap(g: KnowledgeGraph, level: float, seed: int):
-    shuffled, _ = _shuffled_triples(g, seed)
+def _relation_swap(shuffled: list[Triple], level: float, current: set[Triple]) -> list[EditRecord]:
     n_pairs = min(round_half_up(level * len(shuffled) / 2.0), len(shuffled) // 2)
-    current = set(g.triples)
     log: list[EditRecord] = []
     for i in range(n_pairs):
         e1, e2 = shuffled[2 * i], shuffled[2 * i + 1]
@@ -133,93 +130,57 @@ def _relation_swap(g: KnowledgeGraph, level: float, seed: int):
         current.update((f1, f2))
         log.append(EditRecord(METHOD_RELATION_SWAP, e1, f1))
         log.append(EditRecord(METHOD_RELATION_SWAP, e2, f2))
-    return current, log
+    return log
 
 
-def _relation_replace(
-    g: KnowledgeGraph, level: float, seed: int, scorer, mode: str
-):
-    shuffled, _ = _shuffled_triples(g, seed)
-    targets = shuffled[: round_half_up(level * len(shuffled))]
-    if targets and scorer is None:
-        scorer = fit_baseline_scorer(g)
-    relations = sorted(g.relations)
-    current = set(g.triples)
-    log: list[EditRecord] = []
-    for e in targets:
-        ranked = sorted(
-            (
-                (scorer.score(e.subject, r, e.object), r)
-                for r in relations
-                if r != e.relation
-            ),
-            key=(
-                (lambda pair: (pair[0], pair[1]))
-                if mode == REPLACE_LEAST_PLAUSIBLE
-                else (lambda pair: (-pair[0], pair[1]))
-            ),
-        )
-        replacement = None
-        for _, r in ranked:
-            candidate = Triple(e.subject, r, e.object)
-            if candidate not in current:
-                replacement = candidate
-                break
-        if replacement is None:
-            log.append(EditRecord(METHOD_RELATION_REPLACE + _SKIP_SUFFIX, e, e))
-            continue
-        current.discard(e)
-        current.add(replacement)
-        log.append(EditRecord(METHOD_RELATION_REPLACE, e, replacement))
-    return current, log
+def _relation_candidates(relations: list[str], scorer, sign: float, e: Triple) -> Iterator[Triple]:
+    """``e`` with each other relation, least plausible first (``sign`` 1)
+    or most plausible first (``sign`` -1); ties break on the relation."""
+    ranked = sorted((sign * scorer.score(e.subject, r, e.object), r) for r in relations if r != e.relation)
+    return (Triple(e.subject, r, e.object) for _, r in ranked)
 
 
-def _edge_rewire(g: KnowledgeGraph, level: float, seed: int):
-    shuffled, rng = _shuffled_triples(g, seed)
-    targets = shuffled[: round_half_up(level * len(shuffled))]
-    order, index, n = g.entity_order, g.entity_index, len(g.entities)
+def _rewire_candidates(g: KnowledgeGraph, rng: random.Random, e: Triple) -> Iterator[Triple]:
+    """``e`` with its object moved to a non-neighbour of its subject.
+
+    Candidate objects exclude the subject and its original 1-hop
+    neighborhood (either direction), per the original graph.  Draw
+    uniformly from all entities and reject excluded or already tried ones:
+    the distinct candidates come out as a uniform random order of the
+    pool, of which the first 100 are tried.  Draws happen only as the
+    candidates are consumed.
+    """
+    n, s = len(g.entities), g.entity_index[e.subject]
     (subjects, objects), (indptr, incident) = g.endpoint_ids, g.incidence
-    current = set(g.triples)
+    # The far end of each triple touching s is a neighbour (s itself for a self-loop).
+    ts = incident[indptr[s] : indptr[s + 1]]
+    nbrs = set((subjects[ts] + objects[ts] - s).tolist())
+    tries = min(100, n - len(nbrs) - (s not in nbrs))
+    tried: set[int] = set()
+    while len(tried) < tries:
+        v3 = rng.randrange(n)
+        if v3 == s or v3 in nbrs or v3 in tried:
+            continue
+        tried.add(v3)
+        yield Triple(e.subject, e.relation, g.entity_order[v3])
+
+
+def _replace_each(
+    method: str, targets: list[Triple], current: set[Triple], candidates
+) -> list[EditRecord]:
+    """Replace each target, in order, by its first candidate that is not
+    in ``current``, and update ``current``; a target with none left is
+    logged as skipped."""
     log: list[EditRecord] = []
     for e in targets:
-        # Candidate objects exclude the subject and its original 1-hop
-        # neighborhood (either direction), per the original graph.  Draw
-        # uniformly from all entities and reject excluded or already tried
-        # ones: the distinct candidates come out as a uniform random order
-        # of the pool, of which the first 100 are tried.  The far end of
-        # each triple touching s is a neighbour (s itself for a self-loop).
-        s = index[e.subject]
-        ts = incident[indptr[s] : indptr[s + 1]]
-        nbrs = set((subjects[ts] + objects[ts] - s).tolist())
-        pool_size = n - len(nbrs) - (s not in nbrs)
-        tries = min(100, pool_size)
-        tried: set[int] = set()
-        replacement = None
-        while len(tried) < tries:
-            v3 = rng.randrange(n)
-            if v3 == s or v3 in nbrs or v3 in tried:
-                continue
-            tried.add(v3)
-            candidate = Triple(e.subject, e.relation, order[v3])
-            if candidate not in current:
-                replacement = candidate
-                break
+        replacement = next((c for c in candidates(e) if c not in current), None)
         if replacement is None:
-            log.append(EditRecord(METHOD_EDGE_REWIRE + _SKIP_SUFFIX, e, e))
+            log.append(EditRecord(method + _SKIP_SUFFIX, e, e))
             continue
         current.discard(e)
         current.add(replacement)
-        log.append(EditRecord(METHOD_EDGE_REWIRE, e, replacement))
-    return current, log
-
-
-def _edge_delete(g: KnowledgeGraph, level: float, seed: int):
-    shuffled, _ = _shuffled_triples(g, seed)
-    removed = shuffled[: round_half_up(level * len(shuffled))]
-    current = set(g.triples)
-    current.difference_update(removed)
-    log = [EditRecord(METHOD_EDGE_DELETE, e, None) for e in removed]
-    return current, log
+        log.append(EditRecord(method, e, replacement))
+    return log
 
 
 def perturb(
@@ -235,41 +196,45 @@ def perturb(
     scorer defaults to the baseline frequency scorer, fitted on ``g`` only
     when there is an edge to replace.  The returned graph keeps the original
     entity set; all edits (and skips, e.g. when a rewire target pool is
-    empty) are recorded in application order.
+    empty) are recorded in application order, and the graph is the log
+    replayed on ``g``.
     """
     if replace_mode not in REPLACE_MODES:
         raise ValueError(f"unknown replace mode {replace_mode!r}")
+    rng = random.Random(spec.seed)
+    shuffled = list(g.triples)
+    rng.shuffle(shuffled)
+    targets = shuffled[: round_half_up(spec.level * len(shuffled))]
+    current = set(g.triples)
     if spec.method == METHOD_RELATION_SWAP:
-        triples, log = _relation_swap(g, spec.level, spec.seed)
-    elif spec.method == METHOD_RELATION_REPLACE:
-        triples, log = _relation_replace(g, spec.level, spec.seed, scorer, replace_mode)
-    elif spec.method == METHOD_EDGE_REWIRE:
-        triples, log = _edge_rewire(g, spec.level, spec.seed)
+        log = _relation_swap(shuffled, spec.level, current)
     elif spec.method == METHOD_EDGE_DELETE:
-        triples, log = _edge_delete(g, spec.level, spec.seed)
-    else:  # pragma: no cover - normalize_method already screens this
-        raise ValueError(f"unknown method {spec.method!r}")
-    # The kept parent triples in parent order, then the new ones sorted:
-    # two sorted runs, which from_triples merges instead of fully sorting.
-    kept = list(filter(triples.__contains__, g.triples))
-    added = sorted(triples.difference(g.triples))
-    graph = KnowledgeGraph.from_triples(kept + added, extra_entities=g.entities)
-    return PerturbedGraph(graph=graph, edit_log=tuple(log))
+        log = [EditRecord(METHOD_EDGE_DELETE, e, None) for e in targets]
+    elif spec.method == METHOD_EDGE_REWIRE:
+        log = _replace_each(spec.method, targets, current, partial(_rewire_candidates, g, rng))
+    else:
+        if targets and scorer is None:
+            scorer = fit_baseline_scorer(g)
+        sign = 1.0 if replace_mode == REPLACE_LEAST_PLAUSIBLE else -1.0
+        candidates = partial(_relation_candidates, sorted(g.relations), scorer, sign)
+        log = _replace_each(spec.method, targets, current, candidates)
+    return PerturbedGraph(graph=replay_edit_log(g, log), edit_log=tuple(log))
 
 
-def replay_edit_log(
-    g: KnowledgeGraph, edit_log: Sequence[EditRecord]
-) -> KnowledgeGraph:
+def replay_edit_log(g: KnowledgeGraph, edit_log: Sequence[EditRecord]) -> KnowledgeGraph:
     """Reapply a log to the graph it was produced from.
 
-    Removals and additions are applied as one batch, which makes the
-    replay insensitive to entries whose before/after triples overlap
-    (e.g. a relation swap across parallel edges).
+    Removals and additions are applied as one batch, ``(T - removed) |
+    added``, which makes the replay insensitive to entries whose
+    before/after triples overlap (e.g. a relation swap across parallel
+    edges).  ``from_triples`` gets the kept triples in ``g``'s order and
+    then the added ones sorted: two sorted runs, which it merges instead
+    of fully sorting, and where it drops an added triple that is also kept.
     """
     removed = {rec.before for rec in edit_log if not rec.skipped}
-    added = {rec.after for rec in edit_log if not rec.skipped and rec.after is not None}
-    triples = (set(g.triples) - removed) | added
-    return KnowledgeGraph.from_triples(triples, extra_entities=g.entities)
+    added = sorted({rec.after for rec in edit_log if not rec.skipped and rec.after is not None})
+    kept = list(filterfalse(removed.__contains__, g.triples))
+    return KnowledgeGraph.from_triples(kept + added, extra_entities=g.entities)
 
 
 def edit_log_to_jsonl(edit_log: Iterable[EditRecord]) -> str:
@@ -289,9 +254,11 @@ def parse_edit_log(text: str) -> list[EditRecord]:
     records = []
     for lineno, d in jsonl_records(text.splitlines(), "edit log"):
         try:
-            after = d.get("after")
-            before = Triple(*d["before"])
-            records.append(EditRecord(d["op"], before, Triple(*after) if after is not None else None))
-        except (KeyError, TypeError) as exc:
+            op, after = d["op"], d.get("after")
+            if op not in _OPS:
+                raise ValueError(f"unknown op {op!r}")
+            after = None if after is None else json_triple(after)
+            records.append(EditRecord(op, json_triple(d["before"]), after))
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"edit log:{lineno}: bad record: {exc}") from None
     return records

@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .graph import EntityNotFoundError, KnowledgeGraph
 from .ingest import khop_subgraph
@@ -70,6 +69,9 @@ def _transition_matrix(
     g: KnowledgeGraph, undirected: bool
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Sparse W with W[v, u] = (# edges u->v) / outdeg(u), plus dangling mask."""
+    # Imported here: scipy.sparse is most of ``import kgr``, and only PPR needs it.
+    from scipy import sparse
+
     n = len(g.entity_order)
     subjects, objects = g.endpoint_ids
     if undirected:

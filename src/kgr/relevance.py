@@ -162,7 +162,7 @@ class ServiceEmbedder:
         out: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = list(texts[start : start + self.batch_size])
-            body, _ = post_json(
+            body, retries = post_json(
                 self.url,
                 {"texts": batch},
                 token=self.token,
@@ -174,20 +174,20 @@ class ServiceEmbedder:
             if not isinstance(vectors, list) or len(vectors) != len(batch):
                 raise TransportError(
                     "malformed embedding response: expected one vector per text",
-                    attempts=self.max_attempts,
+                    attempts=retries + 1,
                 )
             for row in vectors:
                 vec = np.asarray(row, dtype=np.float64)
                 if vec.ndim != 1 or vec.size == 0:
                     raise TransportError(
                         "malformed embedding response: bad vector shape",
-                        attempts=self.max_attempts,
+                        attempts=retries + 1,
                     )
                 norm = float(np.linalg.norm(vec))
                 if norm == 0.0:
                     raise TransportError(
                         "malformed embedding response: zero vector",
-                        attempts=self.max_attempts,
+                        attempts=retries + 1,
                     )
                 out.append(vec / norm)
         return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import KnowledgeGraph, Triple
-from .ingest import jsonl_records
+from .ingest import is_id_list, json_triple, jsonl_records
 from .relevance import PrizeAssignment
 
 VARIANT_TRIPLETS = "triplets"
@@ -225,6 +225,12 @@ def retrieve_paths(
     ]
 
 
+def _json_ids(value) -> list[str]:
+    if not is_id_list(value):
+        raise ValueError(f"nodes must be a list of non-empty strings, not {value!r}")
+    return value
+
+
 def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
     """Inverse of :meth:`RetrievedKnowledge.to_json_dict`; a record of the
     wrong shape raises ``ValueError``."""
@@ -240,14 +246,14 @@ def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
             prize_k=prize_k,
             edge_cost=edge_cost,
             triplets=tuple(
-                (Triple(*item), float(score)) for item, score in zip(items, scores)
+                (json_triple(item), float(score)) for item, score in zip(items, scores)
             ),
         )
     if variant == VARIANT_PATHS:
         paths = tuple(
             ScoredPath(
-                nodes=tuple(item["nodes"]),
-                edges=tuple(Triple(*e) for e in item["triples"]),
+                nodes=tuple(_json_ids(item["nodes"])),
+                edges=tuple(map(json_triple, item["triples"])),
                 score=float(score),
             )
             for item, score in zip(items, scores)
@@ -260,7 +266,7 @@ def retrieved_from_json_dict(d: dict) -> RetrievedKnowledge:
             raise ValueError(f"a subgraph record holds one item, not {len(items)}")
         item = items[0]
         sub = KnowledgeGraph.from_triples(
-            (Triple(*t) for t in item["triples"]), extra_entities=item["nodes"]
+            map(json_triple, item["triples"]), extra_entities=_json_ids(item["nodes"])
         )
         return RetrievedKnowledge(
             variant=variant,

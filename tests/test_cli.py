@@ -787,6 +787,8 @@ class TestGenerate:
             ('"variant": "subgraph", "items": []', "[]"),
             ('"variant": "triplets", "items": [["a", "r", "b"], ["b", "r", "c"]]', "[2.0]"),
             ('"variant": "paths", "items": [{"nodes": ["a"], "triples": []}]', "[]"),
+            ('"variant": "triplets", "items": ["xyz"]', "[1.0]"),
+            ('"variant": "paths", "items": [{"nodes": "ab", "triples": []}]', "[1.0]"),
         ],
     )
     def test_misshapen_record_exits_2(self, tmp_path, mock_service, capsys, items, scores):

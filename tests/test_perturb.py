@@ -13,6 +13,7 @@ from kgr.metrics import fit_baseline_scorer
 from kgr.ingest import serialize
 from kgr.perturb import (
     METHODS,
+    REPLACE_MODES,
     EditRecord,
     PerturbationSpec,
     edit_log_to_jsonl,
@@ -374,21 +375,23 @@ def test_edge_rewire_matches_string_set_reference(triples, lonely, level, seed):
 
 
 def copy_per_edit_relation_swap(g, level, seed):
-    """Triples and skip flags of the swap rule that copies the set per pair."""
+    """Triples and edit log of the swap rule that copies the set per pair."""
     rng = random.Random(seed)
     shuffled = list(g.triples)
     rng.shuffle(shuffled)
     n_pairs = min(round_half_up(level * len(shuffled) / 2.0), len(shuffled) // 2)
-    current, skipped = set(g.triples), []
+    current, log = set(g.triples), []
     for i in range(n_pairs):
         e1, e2 = shuffled[2 * i], shuffled[2 * i + 1]
         f1 = Triple(e1.subject, e2.relation, e1.object)
         f2 = Triple(e2.subject, e1.relation, e2.object)
         swapped = (current - {e1, e2}) | {f1, f2}
-        skipped += [len(swapped) != len(current)] * 2
         if len(swapped) == len(current):
             current = swapped
-    return current, skipped
+            log += [EditRecord("relation_swap", e1, f1), EditRecord("relation_swap", e2, f2)]
+        else:
+            log += [EditRecord("relation_swap_skipped", e, e) for e in (e1, e2)]
+    return current, log
 
 
 @settings(max_examples=200, deadline=None)
@@ -396,9 +399,109 @@ def copy_per_edit_relation_swap(g, level, seed):
 def test_relation_swap_collision_rule_is_unchanged(triples, level, seed):
     g = KnowledgeGraph.from_triples(triples)
     pg = perturb(g, PerturbationSpec("rs", level, seed))
-    expected, skipped = copy_per_edit_relation_swap(g, level, seed)
+    expected, log = copy_per_edit_relation_swap(g, level, seed)
     assert set(pg.graph.triples) == expected
-    assert [rec.skipped for rec in pg.edit_log] == skipped
+    assert [rec.skipped for rec in pg.edit_log] == [rec.skipped for rec in log]
+
+
+def string_set_relation_replace(g, level, seed, mode):
+    """Triples and edit log of the replace rule, one target at a time: rank
+    the other relations by the baseline scorer, take the first that does
+    not collide."""
+    rng = random.Random(seed)
+    shuffled = list(g.triples)
+    rng.shuffle(shuffled)
+    targets = shuffled[: round_half_up(level * len(shuffled))]
+    scorer = fit_baseline_scorer(g) if targets else None
+    current, log = set(g.triples), []
+    for e in targets:
+        ranked = sorted(
+            ((scorer.score(e.subject, r, e.object), r) for r in sorted(g.relations) if r != e.relation),
+            key=(lambda pair: pair) if mode == "least_plausible" else (lambda pair: (-pair[0], pair[1])),
+        )
+        replacement = None
+        for _, r in ranked:
+            if Triple(e.subject, r, e.object) not in current:
+                replacement = Triple(e.subject, r, e.object)
+                break
+        if replacement is None:
+            log.append(EditRecord("relation_replace_skipped", e, e))
+            continue
+        current = (current - {e}) | {replacement}
+        log.append(EditRecord("relation_replace", e, replacement))
+    return current, log
+
+
+def sequential_reference(g, method, level, seed, mode):
+    """Triples and edit log of ``method``, each edit applied to the triple
+    set as it is made; no log is replayed."""
+    if method == "relation_swap":
+        return copy_per_edit_relation_swap(g, level, seed)
+    if method == "relation_replace":
+        return string_set_relation_replace(g, level, seed, mode)
+    if method == "edge_rewire":
+        return string_set_edge_rewire(g, level, seed)
+    rng = random.Random(seed)
+    shuffled = list(g.triples)
+    rng.shuffle(shuffled)
+    removed = shuffled[: round_half_up(level * len(shuffled))]
+    return set(g.triples) - set(removed), [EditRecord("edge_delete", e, None) for e in removed]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    triples=triples_strategy,
+    lonely=st.sampled_from([0, 2, 130]),
+    orphans=st.lists(st.sampled_from(["r8", "r9"]), max_size=2),
+    method=st.sampled_from(METHODS),
+    mode=st.sampled_from(REPLACE_MODES),
+    level=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# A parallel pair swaps onto itself: removed and added triples coincide.
+@example(
+    triples=[("a", "r1", "b"), ("a", "r2", "b")], lonely=0, orphans=[], method="relation_swap",
+    mode="least_plausible", level=1.0, seed=0,
+)
+# The last replacement lands on the triple the first one freed.
+@example(
+    triples=[("a", "r1", "b"), ("a", "r3", "b"), ("b", "r2", "a")], lonely=0, orphans=[],
+    method="relation_replace", mode="least_plausible", level=1.0, seed=0,
+)
+def test_every_method_matches_its_sequential_reference(triples, lonely, orphans, method, mode, level, seed):
+    # perturb builds its graph by replaying its own log; the references
+    # edit a string set one edit at a time, so they check the replay too.
+    g = KnowledgeGraph.from_triples(
+        triples, extra_entities=[f"z{i:03d}" for i in range(lonely)], extra_relations=orphans
+    )
+    pg = perturb(g, PerturbationSpec(method, level, seed), replace_mode=mode)
+    expected, log = sequential_reference(g, method, level, seed, mode)
+    assert edit_log_to_jsonl(pg.edit_log) == edit_log_to_jsonl(log)
+    expected_graph = KnowledgeGraph.from_triples(expected, extra_entities=g.entities)
+    assert serialize(pg.graph) == serialize(expected_graph)
+    assert_same_graph(pg.graph, expected_graph)
+
+
+def test_replay_applies_hand_written_logs_as_one_batch():
+    # Replay computes (T - removed) | added over the applied records,
+    # whatever order they came in.
+    e, x, y, k = Triple("a", "r", "b"), Triple("a", "r", "c"), Triple("a", "r", "d"), Triple("b", "r", "c")
+    g = KnowledgeGraph.from_triples([e, k], extra_entities=["c", "d", "z"])
+    cases = [
+        # A chain e -> x, then x -> y: x is added by one edit and removed by
+        # a later one, and the batch keeps it.
+        ([EditRecord("edge_rewire", e, x), EditRecord("edge_rewire", x, y)], {k, x, y}),
+        # A re-added original: e is deleted, then k moves onto it.
+        ([EditRecord("edge_delete", e, None), EditRecord("edge_rewire", k, e)], {e}),
+        # An added triple that already exists is kept once.
+        ([EditRecord("relation_replace", e, k)], {k}),
+        # A skipped record changes nothing.
+        ([EditRecord("edge_rewire_skipped", e, e), EditRecord("edge_delete_skipped", k, k)], {e, k}),
+    ]
+    for log, expected in cases:
+        replayed = replay_edit_log(g, log)
+        assert replayed.triples == tuple(sorted(expected)), log
+        assert_same_graph(replayed, KnowledgeGraph.from_triples(expected, extra_entities=g.entities))
 
 
 def test_replay_handles_parallel_edge_relation_swap():
@@ -436,6 +539,11 @@ def test_parse_edit_log_skips_header_lines():
         ('["edge_delete", ["a", "r", "b"], null]', "edit log:2: each record must be a JSON object"),
         ('{"op": "edge_delete", "after": null}', "edit log:2: bad record: 'before'"),
         ('{"op": "edge_delete", "before": ["a", "r"]}', "edit log:2: bad record: "),
+        ('{"op": "edge_delete", "before": "abc", "after": null}', "edit log:2: bad record: a triple must be"),
+        ('{"op": 7, "before": ["a", "r", "b"], "after": null}', "edit log:2: bad record: unknown op 7"),
+        ('{"op": "teleport", "before": ["a", "r", "b"]}', "edit log:2: bad record: unknown op 'teleport'"),
+        ('{"op": "edge_rewire", "before": ["a", "r", "b"], "after": ["a", "r", ""]}', "edit log:2: bad record: a triple"),
+        ('{"op": "edge_rewire", "before": ["a", "r", "b"], "after": []}', "edit log:2: bad record: a triple must"),
     ],
 )
 def test_parse_edit_log_names_the_bad_line(line, message):

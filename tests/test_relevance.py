@@ -259,8 +259,11 @@ def test_service_embedder_retries_then_succeeds(mock_service):
 def test_service_embedder_malformed_reply_is_transport_error(mock_service):
     svc = mock_service(lambda payload: (200, {"vectors": [[1.0]]}))
     emb = ServiceEmbedder(svc.url, backoff=0.01)
-    with pytest.raises(TransportError):
+    with pytest.raises(TransportError) as exc_info:
         emb.embed(["a", "b"])  # one vector for two texts
+    # The reply arrived on the first request; it is not retried.
+    assert exc_info.value.attempts == 1
+    assert svc.calls == 1
 
 
 def test_service_embedder_exhausts_attempts(mock_service):

@@ -422,6 +422,13 @@ def test_json_records_of_the_wrong_shape_are_rejected():
         ({"variant": "subgraph", "items": [path, path], "scores": [1.0, 2.0]}, "one item, not 2"),
         ({"variant": "triplets", "items": [["A", "r", "B"]], "scores": []}, "1 items but 0 scores"),
         ({"variant": "paths", "items": [path], "scores": [1.0, 2.0]}, "1 items but 2 scores"),
+        ({"variant": "triplets", "items": ["xyz"], "scores": [1.0]}, "a triple must be a list of three"),
+        ({"variant": "triplets", "items": [["A", "r", 3]], "scores": [1.0]}, "a triple must be"),
+        ({"variant": "triplets", "items": [["A", "", "B"]], "scores": [1.0]}, "a triple must be"),
+        ({"variant": "paths", "items": [{**path, "nodes": "ab"}], "scores": [1.0]}, "nodes must be a list"),
+        ({"variant": "paths", "items": [{**path, "triples": ["xyz"]}], "scores": [1.0]}, "a triple must be"),
+        ({"variant": "subgraph", "items": [{**path, "nodes": "ab"}], "scores": [1.0]}, "nodes must be a list"),
+        ({"variant": "subgraph", "items": [{**path, "triples": ["xyz"]}], "scores": [1.0]}, "a triple must be"),
     ]:
         with pytest.raises(ValueError, match=message):
             retrieved_from_json_dict({**record, **base})

@@ -10,6 +10,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -129,3 +132,17 @@ def test_every_export_resolves():
     assert len(set(kgr.__all__)) == len(kgr.__all__)
     for name in kgr.__all__:
         assert getattr(kgr, name, None) is not None, name
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # Only PPR needs scipy.sparse, and importing it is most of the import
+    # time and memory of ``import kgr``; sweep and damage runs never use it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, kgr, kgr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
