@@ -205,7 +205,8 @@ def perturb(
     shuffled = list(g.triples)
     rng.shuffle(shuffled)
     targets = shuffled[: round_half_up(spec.level * len(shuffled))]
-    current = set(g.triples)
+    # The working triple set; only the methods that add triples read it.
+    current = set(g.triples) if spec.method != METHOD_EDGE_DELETE else None
     if spec.method == METHOD_RELATION_SWAP:
         log = _relation_swap(shuffled, spec.level, current)
     elif spec.method == METHOD_EDGE_DELETE:
@@ -230,10 +231,17 @@ def replay_edit_log(g: KnowledgeGraph, edit_log: Sequence[EditRecord]) -> Knowle
     edges).  ``from_triples`` gets the kept triples in ``g``'s order and
     then the added ones sorted: two sorted runs, which it merges instead
     of fully sorting, and where it drops an added triple that is also kept.
+    Raises ``ValueError`` if an applied edit removes a triple neither in
+    ``g`` nor added by the log, or adds one with an entity ``g`` lacks.
     """
     removed = {rec.before for rec in edit_log if not rec.skipped}
     added = sorted({rec.after for rec in edit_log if not rec.skipped and rec.after is not None})
     kept = list(filterfalse(removed.__contains__, g.triples))
+    # Triples are unique, so the counts differ only if a removed one is not in g.
+    if len(kept) + len(removed) != len(g.triples) and not removed.difference(g.triples) <= set(added):
+        raise ValueError("edit log removes a triple that is not in the graph")
+    if not all(t.subject in g.entities and t.object in g.entities for t in added):
+        raise ValueError("edit log adds a triple with an entity that is not in the graph")
     return KnowledgeGraph.from_triples(kept + added, extra_entities=g.entities)
 
 
@@ -250,6 +258,8 @@ def parse_edit_log(text: str) -> list[EditRecord]:
 
     Blank lines and the header line the CLI writes first are skipped; any
     other line that is not an edit record raises ``ValueError`` naming it.
+    ``after`` must be null for ``edge_delete``, a triple for the other
+    applied ops and equal to ``before`` for a skipped edit.
     """
     records = []
     for lineno, d in jsonl_records(text.splitlines(), "edit log"):
@@ -257,8 +267,14 @@ def parse_edit_log(text: str) -> list[EditRecord]:
             op, after = d["op"], d.get("after")
             if op not in _OPS:
                 raise ValueError(f"unknown op {op!r}")
+            before = json_triple(d["before"])
             after = None if after is None else json_triple(after)
-            records.append(EditRecord(op, json_triple(d["before"]), after))
+            if op.endswith(_SKIP_SUFFIX):
+                if after != before:
+                    raise ValueError(f"{op} must have 'after' equal to 'before'")
+            elif (after is None) != (op == METHOD_EDGE_DELETE):
+                raise ValueError(f"{op} must have {'a null' if after else 'a triple as'} 'after'")
+            records.append(EditRecord(op, before, after))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"edit log:{lineno}: bad record: {exc}") from None
     return records

@@ -193,16 +193,16 @@ class ServiceEmbedder:
         return out
 
 
-def _ranked_rows(matrix: np.ndarray, query_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row order by descending similarity, and the similarities.
+def _similarities(matrix: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
+    """Similarity of each (unit) row to the (unit) query, rounded to 12
+    decimals so that mathematically equal cosines compare equal whatever
+    the float summation order."""
+    return np.round(matrix @ query_vec, 12)
 
-    Rows and query must be unit vectors, and rows must be in element-id
-    order.  Similarities are rounded to 12 decimals so that mathematically
-    equal cosines compare equal whatever the float summation order; the
-    row index, that is the element id, then breaks the tie.
-    """
-    sims = np.round(matrix @ query_vec, 12)
-    return np.lexsort((np.arange(len(sims)), -sims)), sims
+
+def _descending(sims: np.ndarray) -> np.ndarray:
+    """Order by descending similarity; position, the element id, breaks ties."""
+    return np.lexsort((np.arange(len(sims)), -sims))
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -222,8 +222,8 @@ def rank_elements(query_vec: np.ndarray, element_vecs: Mapping) -> list[tuple]:
     if not elements:
         return []
     matrix = _unit_rows(np.stack([np.asarray(element_vecs[e], dtype=np.float64) for e in elements]))
-    order, sims = _ranked_rows(matrix, _unit_rows(np.asarray(query_vec, dtype=np.float64)))
-    return [(elements[i], float(sims[i])) for i in order]
+    sims = _similarities(matrix, _unit_rows(np.asarray(query_vec, dtype=np.float64)))
+    return [(elements[i], float(sims[i])) for i in _descending(sims)]
 
 
 @dataclass(frozen=True)
@@ -283,19 +283,34 @@ def assign_prizes(
     )
 
 
-def rank_graph_elements(g, query: str, provider=None) -> tuple[list[str], list[Triple]]:
+def rank_graph_elements(
+    g, query: str, provider=None, similarities: dict | None = None
+) -> tuple[list[str], list[Triple]]:
     """Rank a graph's entities and triples against a query text.
 
     Returns ``(ranked_nodes, ranked_edges)`` id lists, most relevant
     first, by the rule of :func:`rank_elements`.  Uses a fresh
     deterministic fallback embedder unless a provider is given.
+    ``similarities`` memoizes each element's (entity id or triple) rounded
+    similarity to ``query``: only the elements it lacks are embedded, in
+    one ``provider.embed`` call, and added.  Share it only across rankings
+    of one query with a pure provider.
     """
     provider = provider or HashedBagEmbedder()
+    similarities = {} if similarities is None else similarities
     nodes, edges = g.entity_order, g.triples  # both already in id order
-    label = {e: element_label(e) for e in (*nodes, *g.relations)}.__getitem__
-    texts = [query, *map(label, nodes), *(_triple_text(t, label) for t in edges)]
-    vectors = np.stack(provider.embed(texts))
-    query_vec = vectors[0]
-    node_order, _ = _ranked_rows(vectors[1 : 1 + len(nodes)], query_vec)
-    edge_order, _ = _ranked_rows(vectors[1 + len(nodes) :], query_vec)
-    return [nodes[i] for i in node_order], [edges[i] for i in edge_order]
+    new_nodes = [e for e in nodes if e not in similarities]
+    new_edges = [t for t in edges if t not in similarities]
+    if new_nodes or new_edges:
+        label = {e: element_label(e) for e in (*nodes, *g.relations)}.__getitem__
+        texts = [query, *map(label, new_nodes), *(_triple_text(t, label) for t in new_edges)]
+        vectors = np.stack(provider.embed(texts))
+        split = 1 + len(new_nodes)
+        for new, rows in ((new_nodes, vectors[1:split]), (new_edges, vectors[split:])):
+            similarities.update(zip(new, _similarities(rows, vectors[0]).tolist()))
+
+    def ranked(elements):
+        sims = np.fromiter(map(similarities.__getitem__, elements), np.float64, len(elements))
+        return [elements[i] for i in _descending(sims)]
+
+    return ranked(nodes), ranked(edges)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 import logging
 import time
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -30,17 +31,17 @@ _METRICS = ("ats", "sc2d", "sd2", "retrieval_overlap")
 
 
 def retrieve_for_question(
-    g: KnowledgeGraph, question: str, provider=None, settings: dict | None = None
+    g: KnowledgeGraph, question: str, provider=None, settings: dict | None = None, similarities=None
 ) -> RetrievedKnowledge:
     """Rank ``g`` against ``question``, assign prizes and retrieve.
 
     ``settings`` passes ``k`` and ``edge_cost`` to :func:`assign_prizes`
     and every other key (``variant``, ``n``, ``start_count``, ``max_len``,
     ``directed_only``) to :func:`retrieve`; a key left out takes that
-    function's default.
+    function's default; ``similarities`` goes to :func:`rank_graph_elements`.
     """
     settings = settings or {}
-    nodes, edges = rank_graph_elements(g, question, provider)
+    nodes, edges = rank_graph_elements(g, question, provider, similarities)
     prizes = assign_prizes(nodes, edges, **{k: settings[k] for k in _PRIZE_KEYS if k in settings})
     return retrieve(g, prizes, **{k: v for k, v in settings.items() if k not in _PRIZE_KEYS})
 
@@ -79,10 +80,12 @@ def run_sweep(
     value; a cell that raises gets an ``error`` record instead of sinking
     the run.  ``curves`` are the CSV lines of per method x level means
     over the cells that succeeded, and ``meta`` holds timings, skipped
-    edits per cell (None for a failed cell) and the embedder memo's
-    counters.  One embedder serves every ranking; without a ``provider``
-    it is a fresh memoizing fallback.  Raises ``ValueError`` for an empty
-    grid, a bad method, level or replace mode, or a graph without triples.
+    edits per cell (None for a failed cell) and memo counters.  One embedder
+    serves every ranking; without a ``provider`` it is a fresh memoizing
+    fallback.  With that pure fallback each question keeps one similarity
+    memo, and a cell whose damaged graph equals ``g`` reuses the baseline
+    retrieval.  Raises ``ValueError`` for an empty grid, a bad method,
+    level or replace mode, repeated query ids, or a graph without triples.
     """
     methods = [normalize_method(m) for m in methods]
     if replace_mode not in REPLACE_MODES:
@@ -91,10 +94,17 @@ def run_sweep(
         raise ValueError("queries, methods and levels must be non-empty")
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
+    if len({q["id"] for q in queries}) != len(queries):
+        raise ValueError("query ids must be unique")
     if not g.triples:
         raise ValueError("graph has no triples; nothing to perturb")
     settings = settings or {}
     provider = provider or HashedBagEmbedder()
+    # Memo and reuse assume a ranking is a pure function of graph and
+    # question, which holds for the fallback embedder and not for a service.
+    pure = isinstance(provider, HashedBagEmbedder)
+    memos: dict[str, dict] = {}
+    counts: Counter = Counter()
     cell_seeds = _derive_seeds(root_seed, num_seeds)
     grid = [
         (m, lvl, [PerturbationSpec(m, lvl, seed) for seed in sorted(cell_seeds)])
@@ -103,7 +113,9 @@ def run_sweep(
     ]
 
     def retrieved(graph: KnowledgeGraph, q: dict) -> set:
-        return retrieve_for_question(graph, q["question"], provider, settings).retrieved_triples()
+        memo = memos.setdefault(q["question"], {}) if pure else {}
+        counts["ranked"] += len(graph.entities) + len(graph.triples)
+        return retrieve_for_question(graph, q["question"], provider, settings, memo).retrieved_triples()
 
     started, started_utc = time.perf_counter(), _dt.datetime.now(_dt.timezone.utc)
     scorer = fit_baseline_scorer(g)
@@ -115,10 +127,13 @@ def run_sweep(
         try:
             pg = perturb(g, spec, scorer=scorer, replace_mode=replace_mode)
             report = compare(g, pg.graph, scorer)
-            per_query = [
-                {"id": q["id"], "overlap": _jaccard(baseline[q["id"]], retrieved(pg.graph, q))}
-                for q in queries
-            ]
+            reuse = pure and pg.graph == g  # an unchanged graph retrieves the baseline
+            counts["reused"] += reuse
+            per_query = []
+            for q in queries:
+                base = baseline[q["id"]]
+                damaged = base if reuse else retrieved(pg.graph, q)
+                per_query.append({"id": q["id"], "overlap": _jaccard(base, damaged)})
             overlap = sum(p["overlap"] for p in per_query) / len(per_query)
             cell.update(ats=report.ats, sc2d=report.sc2d, sd2=report.sd2,
                         retrieval_overlap=overlap, per_query=per_query)
@@ -156,6 +171,7 @@ def run_sweep(
             curves.append(",".join([method, repr(level), *map(repr, means), str(len(good))]))
 
     memo_stats = getattr(provider, "memo_stats", {})
+    misses = sum(map(len, memos.values()))  # each memo entry was embedded once
     meta = {
         "started_utc": started_utc.isoformat(),
         "wall_time_s": time.perf_counter() - started,
@@ -166,5 +182,9 @@ def run_sweep(
         # Embedder memo counters; null for a provider without a memo.
         "embedded_texts": memo_stats.get("embedded"),
         "embed_cache_hits": memo_stats.get("hits"),
+        # Similarity memo and baseline reuse; null where they do not apply.
+        "similarity_hits": counts["ranked"] - misses if pure else None,
+        "similarity_misses": misses if pure else None,
+        "reused_cells": counts["reused"] if pure else None,
     }
     return records, curves, meta

@@ -501,18 +501,31 @@ class TestSweep:
         assert len(meta["skipped_edits"]) == 12
         assert meta["skipped_edits"][:6] == [0] * 6
         assert all(isinstance(n, int) and n >= 0 for n in meta["skipped_edits"])
-        # One embedder serves the sweep: each distinct text is embedded once,
-        # every other lookup is a memo hit.  The counters stay out of the
-        # byte-stable outputs.
-        graphs = [g] + [
+        # The baseline and every cell whose graph differs from the original
+        # rank each question; a cell with the original graph reuses the
+        # baseline.  Each question keeps a similarity memo, so a ranking
+        # embeds, in one call with the question, only the elements that
+        # question has not met.  One embedder serves the sweep: each distinct
+        # text is embedded once, every other lookup is a memo hit.  The
+        # counters stay out of the byte-stable outputs.
+        damaged = [
             perturb(g, PerturbationSpec(c["method"], c["level"], c["seed"])).graph for c in cells
         ]
-        distinct, lookups = set(), 0
-        for graph in graphs:
-            for question in ("what links e0 and e3", "tell me about e5"):
-                texts = [question, *map(verbalize_element, (*graph.entity_order, *graph.triples))]
-                distinct.update(texts)
-                lookups += len(texts)
+        ranked = [g] + [graph for graph in damaged if graph != g]
+        distinct, lookups, hits, misses = set(), 0, 0, 0
+        for question in ("what links e0 and e3", "tell me about e5"):
+            met = set()
+            for graph in ranked:
+                elements = (*graph.entity_order, *graph.triples)
+                new = [e for e in elements if e not in met]
+                met.update(new)
+                hits, misses = hits + len(elements) - len(new), misses + len(new)
+                if new:
+                    texts = [question, *map(verbalize_element, new)]
+                    distinct.update(texts)
+                    lookups += len(texts)
+        assert meta["reused_cells"] == len(cells) + 1 - len(ranked) >= 4  # every level-0.0 cell
+        assert (meta["similarity_hits"], meta["similarity_misses"]) == (hits, misses)
         assert meta["embedded_texts"] == len(distinct)
         assert meta["embed_cache_hits"] == lookups - len(distinct)
         assert "embed" not in (out_dir / "records.jsonl").read_text()

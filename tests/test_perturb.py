@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -502,6 +503,48 @@ def test_replay_applies_hand_written_logs_as_one_batch():
         replayed = replay_edit_log(g, log)
         assert replayed.triples == tuple(sorted(expected)), log
         assert_same_graph(replayed, KnowledgeGraph.from_triples(expected, extra_entities=g.entities))
+
+
+def test_replay_rejects_edits_of_triples_or_entities_the_graph_lacks():
+    g = KnowledgeGraph.from_triples([("a", "r", "b")])
+    e, stray = Triple("a", "r", "b"), Triple("q", "r", "w")
+    # A deletion with an ``after``, of a triple not in the graph, adding new
+    # entities: it used to replay to triples (a,r,b), (x,y,z).
+    with pytest.raises(ValueError, match="edge_delete must have a null 'after'"):
+        parse_edit_log('{"op":"edge_delete","before":["q","r","w"],"after":["x","y","z"]}')
+    for log, message in [
+        ([EditRecord("edge_delete", stray, Triple("x", "y", "z"))], "removes a triple that is not"),
+        ([EditRecord("edge_delete", stray, None)], "removes a triple that is not"),
+        ([EditRecord("edge_rewire", e, Triple("a", "r", "z"))], "entity that is not in the graph"),
+        ([EditRecord("relation_swap", e, Triple("x", "r", "b"))], "entity that is not in the graph"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            replay_edit_log(g, log)
+    # A skipped record is not applied, so its triples are not checked.
+    assert replay_edit_log(g, [EditRecord("edge_rewire_skipped", stray, stray)]) == g
+    # Skipped records are written with ``after`` equal to ``before`` and parse back.
+    triangle = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
+    log = perturb(triangle, PerturbationSpec("er", 1.0, 1)).edit_log
+    assert all(rec.skipped for rec in log)
+    assert parse_edit_log(edit_log_to_jsonl(log)) == list(log)
+
+
+@pytest.mark.parametrize(
+    "op, before, after, message",
+    [
+        ("edge_delete", ["a", "r", "b"], ["a", "r", "c"], "edge_delete must have a null 'after'"),
+        ("edge_rewire", ["a", "r", "b"], None, "edge_rewire must have a triple as 'after'"),
+        ("relation_swap", ["a", "r", "b"], None, "relation_swap must have a triple as 'after'"),
+        ("relation_replace", ["a", "r", "b"], None, "relation_replace must have a triple as"),
+        ("edge_rewire_skipped", ["a", "r", "b"], None, "edge_rewire_skipped must have 'after' equal"),
+        ("edge_delete_skipped", ["a", "r", "b"], ["a", "r", "c"], "edge_delete_skipped must have"),
+        ("relation_swap_skipped", ["a", "r", "b"], ["a", "s", "b"], "relation_swap_skipped must"),
+    ],
+)
+def test_parse_edit_log_checks_after_against_the_op(op, before, after, message):
+    line = json.dumps({"op": op, "before": before, "after": after})
+    with pytest.raises(ValueError, match=f"^edit log:1: bad record: {message}"):
+        parse_edit_log(line)
 
 
 def test_replay_handles_parallel_edge_relation_swap():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgr import relevance
 from kgr.graph import KnowledgeGraph, Triple
+from kgr.perturb import METHODS, PerturbationSpec, perturb
 from kgr.relevance import (
     HashedBagEmbedder,
     PrizeAssignment,
@@ -316,6 +317,56 @@ def test_rank_graph_elements_matches_reference_rule():
         query_vec = shared.embed([query])[0]
         edge_vecs = {t: shared.embed([verbalize_element(t)])[0] for t in g.triples}
         assert [t for t, _ in rank_elements(query_vec, edge_vecs)] == expected[1]
+
+
+def word_graph(rng: random.Random) -> tuple[KnowledgeGraph, str]:
+    """A random graph with word labels, and a query drawn from its words."""
+    names = [f"{rng.choice(WORDS)}_{rng.choice(WORDS)}_{rng.randint(0, 9)}" for _ in range(12)]
+    relations = ["founded_in", "named_by", "built_by", "near"]
+    triples = [(rng.choice(names), rng.choice(relations), rng.choice(names)) for _ in range(30)]
+    query = " ".join(rng.sample(WORDS + ["built", "by", "what"], 5))
+    return KnowledgeGraph.from_triples(triples, extra_entities=names[:2]), query
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    specs=st.lists(
+        st.tuples(st.sampled_from(METHODS), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=3,
+    ),
+    original_first=st.booleans(),
+)
+def test_memo_backed_ranking_equals_a_fresh_one(seed, specs, original_first):
+    # One memo serves the original and its perturbations, in either order.
+    g, query = word_graph(random.Random(seed))
+    damaged = [perturb(g, PerturbationSpec(*spec)).graph for spec in specs]
+    graphs = [g, *damaged] if original_first else [*damaged, g]
+    memo, provider = {}, HashedBagEmbedder()
+    for graph in graphs:
+        assert rank_graph_elements(graph, query, provider, memo) == rank_graph_elements(graph, query)
+    assert set(memo) == {x for graph in graphs for x in (*graph.entities, *graph.triples)}
+
+
+def test_memo_embeds_only_the_elements_it_lacks():
+    class Recorder:
+        def __init__(self):
+            self.texts = []
+
+        def embed(self, texts):
+            self.texts += texts
+            return HashedBagEmbedder().embed(texts)
+
+    g, query = word_graph(random.Random(7))
+    kept, dropped = g.triples[:-1], g.triples[-1]
+    memo, recorder = {}, Recorder()
+    rank_graph_elements(KnowledgeGraph.from_triples(kept, extra_entities=g.entities), query, recorder, memo)
+    recorder.texts.clear()
+    assert rank_graph_elements(g, query, recorder, memo) == rank_graph_elements(g, query)
+    assert recorder.texts == [query, verbalize_element(dropped)]  # one call, one new triple
+    recorder.texts.clear()
+    rank_graph_elements(g, query, recorder, memo)
+    assert recorder.texts == []  # nothing new: no embed call
 
 
 def test_equal_cosines_rank_by_id():

@@ -8,11 +8,12 @@ import random
 
 import pytest
 
+import kgr.sweep
 from kgr.cli import main
 from kgr.graph import KnowledgeGraph
 from kgr.ingest import serialize
 from kgr.metrics import compare, fit_baseline_scorer
-from kgr.perturb import REPLACE_LEAST_PLAUSIBLE, PerturbationSpec, perturb
+from kgr.perturb import METHODS, REPLACE_LEAST_PLAUSIBLE, PerturbationSpec, perturb
 from kgr.relevance import HashedBagEmbedder, assign_prizes, rank_graph_elements
 from kgr.retrieval import retrieve
 from kgr.sweep import retrieve_for_question, run_sweep
@@ -120,6 +121,14 @@ def test_bad_grid_raises_before_any_cell(graph, overrides, monkeypatch):
         grid(graph, **overrides)
 
 
+def test_repeated_query_ids_raise_before_any_cell(graph, monkeypatch):
+    # Each cell compares a question with the baseline of its id.
+    monkeypatch.setattr("kgr.sweep.perturb", None)  # no cell may run
+    with pytest.raises(ValueError, match="query ids must be unique"):
+        run_sweep(graph, [QUERIES[0], {**QUERIES[1], "id": "q1"}], methods=["ed"], levels=[0.1],
+                  num_seeds=1, root_seed=9, replace_mode=REPLACE_LEAST_PLAUSIBLE)
+
+
 def test_graph_without_triples_raises():
     with pytest.raises(ValueError, match="no triples"):
         grid(KnowledgeGraph.from_triples([], extra_entities=["e0"]))
@@ -142,3 +151,71 @@ def test_retrieve_for_question_is_the_rank_prize_retrieve_chain(
     nodes, edges = rank_graph_elements(graph, question)
     expected = retrieve(graph, assign_prizes(nodes, edges, **prize_kwargs), **retrieve_kwargs)
     assert retrieve_for_question(graph, question, HashedBagEmbedder(), settings) == expected
+
+
+class Unmemoized:
+    """One fallback embedder behind a provider that is no
+    ``HashedBagEmbedder``, so the sweep ranks every graph afresh."""
+
+    def __init__(self):
+        self.inner = HashedBagEmbedder()
+
+    def embed(self, texts):
+        return self.inner.embed(texts)
+
+
+def complete_graph():
+    """Every entity is a neighbour of every other: no rewire has a target."""
+    nodes = [f"e{i}" for i in range(5)]
+    return KnowledgeGraph.from_triples(
+        (u, f"r{(i + j) % 2}", v) for i, u in enumerate(nodes) for j, v in enumerate(nodes) if u != v
+    )
+
+
+def unchanged_cells(g, records):
+    return sum(
+        perturb(g, PerturbationSpec(c["method"], c["level"], c["seed"])).graph == g
+        for c in records[1:]
+    )
+
+
+FULL_GRID = dict(methods=list(METHODS), levels=[0.0, 0.1, 1.0])
+
+
+@pytest.mark.parametrize("make_graph", [lambda: random_graph(random.Random(4242), 14, 30, 4), complete_graph])
+def test_memo_and_reuse_leave_records_and_curves_unchanged(make_graph):
+    g = make_graph()
+    fast = grid(g, settings=CLI_SETTINGS, provider=HashedBagEmbedder(), **FULL_GRID)
+    slow = grid(g, settings=CLI_SETTINGS, provider=Unmemoized(), **FULL_GRID)
+    jsonl = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in fast[0]]
+    assert jsonl == [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in slow[0]]
+    assert fast[1] == slow[1]
+    assert fast[2]["failed_cells"] == 0
+    # Every level-0.0 cell reuses the baseline, and so does a cell whose
+    # edits were all skipped (each edge_rewire cell of the complete graph).
+    reused = unchanged_cells(g, fast[0])
+    assert fast[2]["reused_cells"] == reused >= 4 * 2 + (4 if make_graph is complete_graph else 0)
+    assert fast[2]["similarity_hits"] > 0 < fast[2]["similarity_misses"]
+    for key in ("reused_cells", "similarity_hits", "similarity_misses"):
+        assert slow[2][key] is None
+
+
+def test_a_pure_sweep_ranks_the_baseline_and_changed_cells_only(graph, monkeypatch):
+    calls = []
+    rank = kgr.sweep.rank_graph_elements
+
+    def counted(g, query, *args):
+        calls.append((g, query))
+        return rank(g, query, *args)
+
+    monkeypatch.setattr(kgr.sweep, "rank_graph_elements", counted)
+    records, _, meta = grid(graph, **FULL_GRID)
+    changed = len(records) - 1 - unchanged_cells(graph, records)
+    assert 0 < changed < len(records) - 1
+    assert len(calls) == len(QUERIES) * (1 + changed)
+    assert calls[: len(QUERIES)] == [(graph, q["question"]) for q in QUERIES]
+    assert all(g != graph for g, _ in calls[len(QUERIES):])
+    assert meta["reused_cells"] == len(records) - 1 - changed
+    calls.clear()
+    records, _, _ = grid(graph, provider=Unmemoized(), **FULL_GRID)
+    assert len(calls) == len(QUERIES) * len(records)  # the baseline and every cell
