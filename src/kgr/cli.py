@@ -299,26 +299,37 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         backoff=args.backoff,
     )
+
+    def answer_or_error(item):
+        try:
+            return client.generate(item[2])
+        except TransportError as exc:
+            return exc
+
     pool_size = min(client.max_in_flight, len(prompts))
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        answers = list(pool.map(lambda item: client.generate(item[2]), prompts))
+        answers = list(pool.map(answer_or_error, prompts))
 
+    # A failed request gets an error record in its place, so the answers
+    # that did arrive are kept; the run still exits 4.
     lines = []
     latencies = {}
+    failed = []
     for (qid, question, prompt), answer in zip(prompts, answers):
-        lines.append(
-            jsonl_line(
-                {
-                    "id": qid,
-                    "question": question,
-                    "prompt": prompt,
-                    "answer": answer.text,
-                    "model_id": answer.model_id,
-                    "retries": answer.retries,
-                }
-            )
-        )
-        latencies[qid] = answer.latency_s
+        if isinstance(answer, TransportError):
+            failed.append(f"{qid}: {answer}")
+            record = {"id": qid, "question": question, "error": str(answer)}
+        else:
+            record = {
+                "id": qid,
+                "question": question,
+                "prompt": prompt,
+                "answer": answer.text,
+                "model_id": answer.model_id,
+                "retries": answer.retries,
+            }
+            latencies[qid] = answer.latency_s
+        lines.append(jsonl_line(record))
     _emit("".join(lines), args.out)
     if args.out:
         meta = {
@@ -327,6 +338,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "latencies_s": latencies,
         }
         _atomic_write(f"{args.out}.meta.json", _dump_json(meta))
+    if failed:
+        print(
+            f"transport error: {len(failed)} of {len(prompts)} requests failed, "
+            f"first {failed[0]}",
+            file=sys.stderr,
+        )
+        return 4
     return 0
 
 

@@ -3,9 +3,9 @@
 All three variants consume one :class:`~kgr.relevance.PrizeAssignment`:
 
 * ``triplets``  -- top-n triples by summed node+edge prize.
-* ``paths``     -- enumerated paths, best n kept: every simple path from
-  the high-prize start nodes is walked and the top n by score are kept;
-  a path is worth its node prizes plus edge prizes minus edge costs.
+* ``paths``     -- the exact top n simple paths from the high-prize start
+  nodes, by node prizes plus edge prizes minus edge costs; a branch and
+  bound skips every path that provably cannot reach the kept top n.
 * ``subgraph``  -- a prize-collecting Steiner-style heuristic that folds
   edge prizes into reduced costs and prunes unprofitable branches; its
   score is a correctly rounded sum, independent of the hash seed.
@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .graph import KnowledgeGraph, Triple
 from .ingest import is_id_list, json_triple, jsonl_records
@@ -33,6 +36,8 @@ VARIANT_TRIPLETS = "triplets"
 VARIANT_PATHS = "paths"
 VARIANT_SUBGRAPH = "subgraph"
 VARIANTS = (VARIANT_TRIPLETS, VARIANT_PATHS, VARIANT_SUBGRAPH)
+
+logger = logging.getLogger(__name__)
 
 _ORACLE_NODE_LIMIT = 10
 _ROOT_COUNT = 3  # top prize carriers every PCST call grows trees from
@@ -151,6 +156,49 @@ def retrieve_triplets(
     )
 
 
+def _walk_gain_bounds(
+    g: KnowledgeGraph,
+    node_prize: list[float],
+    edge_prize: list[float],
+    cost: float,
+    rounds: int,
+    directed_only: bool,
+) -> list[list[float]]:
+    """Row ``d`` bounds, per node, what a simple path of ``d`` edges ending
+    there can still gain in its other ``rounds - d`` edges.
+
+    ``B_r[v]`` is the best gain of any walk of at most r steps from v,
+    revisits and early stops allowed, so it is at least that of any
+    simple path: ``B_0 = 0`` and ``B_r[v] = max(0, max over the moves
+    (e, w) off v of edge_prize[e] - cost + node_prize[w] + B_{r-1}[w])``.
+    It is summed in another order than a path score, so every row carries
+    a rounding allowance scaled to ``rounds`` and the largest prize; when
+    prizes are not finite or their sums could overflow, every bound is
+    infinite and nothing is pruned.
+    """
+    node_prizes = np.asarray(node_prize, dtype=float)
+    edge_prizes = np.asarray(edge_prize, dtype=float)
+    magnitude = float(np.abs(np.concatenate((node_prizes, edge_prizes, [cost]))).max())
+    # (3 rounds + 2)**2 bounds each sum's operation count times its size.
+    scale = (3 * rounds + 2) ** 2 * magnitude
+    if not math.isfinite(scale):
+        return [[math.inf] * len(node_prizes)] * (rounds + 1)
+    subjects, objects = g.endpoint_ids
+    moves = subjects != objects  # a self-loop leads back onto the path
+    tails, heads, gain = subjects[moves], objects[moves], edge_prizes[moves] - cost
+    if not directed_only:
+        tails, heads = np.concatenate((tails, heads)), np.concatenate((heads, tails))
+        gain = np.tile(gain, 2)
+    gain += node_prizes[heads]
+    rows = [np.zeros(len(node_prizes))]
+    for _ in range(rounds):
+        best = np.zeros(len(node_prizes))
+        np.maximum.at(best, tails, gain + rows[-1][heads])
+        rows.append(best)
+    allowance = scale * 2.0**-50
+    return [(row + allowance).tolist() for row in reversed(rows)]
+
+
 def retrieve_paths(
     g: KnowledgeGraph,
     prizes: PrizeAssignment,
@@ -162,11 +210,22 @@ def retrieve_paths(
     """The ``result_count`` best simple paths (default ``prizes.k``) from
     the ``start_count`` highest-prize nodes.
 
-    Every simple path (node revisits forbidden, at most ``max_len``
-    edges) is enumerated and the best by score are kept, ties broken on
-    the node then edge sequence.  Traversal ignores edge direction unless
-    ``directed_only`` is set.  The path score is the sum of node prizes
-    plus edge prizes minus edge costs along it, added in path order.
+    The result is exact: the best simple paths (node revisits forbidden,
+    at most ``max_len`` edges) by score, ties broken on the node then edge
+    sequence.  Traversal ignores edge direction unless ``directed_only``
+    is set.  The path score is the sum of node prizes plus edge prizes
+    minus edge costs along it, added in path order.
+
+    The search is a depth-first branch and bound.  It keeps the best
+    ``result_count`` scores seen so far and drops a path when its score
+    plus the most its remaining edges could add (see
+    :func:`_walk_gain_bounds`) falls strictly short of the worst of them,
+    so tied paths are never dropped.  The bounds take
+    ``min(max_len, |V| - 1) + 1`` floats per entity.  No polynomial time
+    bound is claimed: on an 8k-entity, 32k-triple graph a ``max_len`` of
+    4 took about 0.16-0.43 s per question, and a ``max_len`` of 6 up to
+    12.7 s.  The counts of paths visited (scored) and pruned (dropped
+    with all their extensions) go to a DEBUG log line.
 
     The walk runs on integer ids: entity i of ``g.entity_order`` and
     triple j of ``g.triples``, with one prize list per id space and an
@@ -197,31 +256,59 @@ def retrieve_paths(
             incident[s].append((edge, o))
             if not directed_only:
                 incident[o].append((edge, s))
+    # A simple path has at most |V| - 1 edges.
+    rounds = min(max_len, len(order) - 1)
+    bounds = _walk_gain_bounds(g, node_prize, edge_prize, cost, rounds, directed_only)
+    visited = pruned = 0
 
-    def simple_paths():
+    def candidate_paths():
         # Depth-first with an explicit stack: ``max_len`` is not bounded by
         # the recursion limit, and the stack holds only the untried
         # extensions of the current path.  Each path is yielded as its
-        # ``(-score, nodes, edges)`` sort key.
+        # ``(-score, nodes, edges)`` sort key; a path that cannot reach the
+        # kept scores is dropped with all its extensions, on push or on
+        # pop, once ``floor`` has risen past it.
+        nonlocal visited, pruned
+        kept: list[float] = []  # min-heap of the best result_count scores yielded
+        floor = -math.inf
         stack = [(node_prize[v], (v,), ()) for v in starts]
         while stack:
             score, nodes, edges = stack.pop()
-            yield -score, nodes, edges
-            if len(edges) >= max_len:
+            depth = len(edges)
+            if score + bounds[depth][nodes[-1]] < floor:
+                pruned += 1
                 continue
+            visited += 1
+            yield -score, nodes, edges
+            if len(kept) < result_count:
+                heapq.heappush(kept, score)
+                if len(kept) == result_count:
+                    floor = kept[0]
+            elif score > floor:
+                heapq.heapreplace(kept, score)
+                floor = kept[0]
+            if depth == rounds:
+                continue
+            reach = bounds[depth + 1]
             for edge, nxt in incident[nodes[-1]]:
                 if nxt not in nodes:
                     nscore = score + node_prize[nxt] + edge_prize[edge] - cost
-                    stack.append((nscore, nodes + (nxt,), edges + (edge,)))
+                    if nscore + reach[nxt] < floor:
+                        pruned += 1
+                    else:
+                        stack.append((nscore, nodes + (nxt,), edges + (edge,)))
 
-    # The key is a total order, so the result does not depend on the walk order.
+    # The key is a total order, so the result does not depend on the walk
+    # order, and every path of the top n is yielded.
+    best = heapq.nsmallest(result_count, candidate_paths())
+    logger.debug("retrieve_paths: %d paths visited, %d pruned", visited, pruned)
     return [
         ScoredPath(
             nodes=tuple(map(order.__getitem__, nodes)),
             edges=tuple(map(triples.__getitem__, edges)),
             score=-neg_score,
         )
-        for neg_score, nodes, edges in heapq.nsmallest(result_count, simple_paths())
+        for neg_score, nodes, edges in best
     ]
 
 

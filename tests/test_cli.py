@@ -771,6 +771,49 @@ class TestGenerate:
         )
         assert code == 4
 
+    def test_a_failed_request_keeps_the_answers_that_arrived(
+        self, graph_file, queries_file, tmp_path, mock_service, capsys
+    ):
+        retrieved = self.make_retrieved(graph_file, queries_file, tmp_path)
+
+        def fail_q1(payload):
+            if "what links e0 and e3" in payload["prompt"]:
+                return 500, {"error": "boom"}
+            return echo_generation_behavior(payload)
+
+        svc = mock_service(fail_q1)
+        out = tmp_path / "answers.jsonl"
+        code = main(
+            [
+                "generate",
+                "--retrieved",
+                str(retrieved),
+                "--gen-url",
+                svc.url,
+                "--max-attempts",
+                "2",
+                "--backoff",
+                "0.01",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 4
+        failed, answered = read_jsonl(out)
+        assert failed == {
+            "id": "q1",
+            "question": "what links e0 and e3",
+            "error": "HTTP 500 (after 2 attempt(s))",
+        }
+        assert answered["id"] == "q2"
+        assert answered["answer"].startswith("ECHO[")
+        assert svc.calls == 3  # q1 twice, q2 once
+        meta = json.loads((out.with_name("answers.jsonl.meta.json")).read_text())
+        assert set(meta["latencies_s"]) == {"q2"}
+        assert capsys.readouterr().err == (
+            "transport error: 1 of 2 requests failed, first q1: HTTP 500 (after 2 attempt(s))\n"
+        )
+
     def test_missing_gen_url(self, graph_file, queries_file, tmp_path, monkeypatch):
         monkeypatch.delenv("KGR_GEN_URL", raising=False)
         retrieved = self.make_retrieved(graph_file, queries_file, tmp_path)

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 import random
 import sys
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgr.graph import KnowledgeGraph, Triple
-from kgr.relevance import PrizeAssignment
+from kgr.relevance import PrizeAssignment, assign_prizes
 from kgr.retrieval import (
     RetrievedKnowledge,
     _best_subtree,
@@ -301,6 +303,141 @@ def test_paths_walk_a_chain_longer_than_the_recursion_limit():
     best = retrieve_paths(chain, prizes, start_count=1, max_len=n, result_count=2)
     assert [p.nodes for p in best] == [tuple(names), tuple(names[:-1])]
     assert best[0].score == 1.0 + 0.5 * (n - 1)
+
+
+def networkx_paths(g, prizes, start_count, max_len, result_count, directed_only):
+    """The top paths among every path ``nx.all_simple_edge_paths`` finds,
+    plus the 0-edge paths, scored in path order."""
+    multigraph = nx.MultiDiGraph() if directed_only else nx.MultiGraph()
+    multigraph.add_nodes_from(g.entity_order)
+    for i, t in enumerate(g.triples):
+        multigraph.add_edge(t.subject, t.object, key=i)
+    starts = sorted(g.entity_order, key=lambda v: (-prizes.node_prize(v), v))[:start_count]
+    scored = []
+    for v in starts:
+        scored.append((prizes.node_prize(v), (v,), ()))
+        others = set(g.entity_order) - {v}
+        for path in nx.all_simple_edge_paths(multigraph, v, others, cutoff=max_len):
+            score, nodes = prizes.node_prize(v), [v]
+            for _, nxt, i in path:
+                score = score + prizes.node_prize(nxt) + prizes.edge_prize(g.triples[i]) - prizes.edge_cost
+                nodes.append(nxt)
+            scored.append((score, tuple(nodes), tuple(g.triples[i] for _, _, i in path)))
+    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
+    return [ScoredPath(nodes=n, edges=e, score=s) for s, n, e in scored[:result_count]]
+
+
+def test_paths_match_networkx_simple_edge_paths():
+    rng = random.Random(6007)
+    seen = set()
+    for _ in range(250):
+        g = random_graph(
+            rng, rng.randint(1, 8), rng.randint(0, 16), n_relations=rng.choice([1, 3]),
+            allow_self_loops=True,
+        )
+        if rng.random() < 0.5:
+            prizes = random_prizes(rng, g, cost=rng.choice([0.5, 1.0, 2.0]))
+        else:
+            prizes = prizes_of(
+                {v: rng.random() for v in g.entities}, {t: rng.random() for t in g.triples},
+                cost=rng.random(),
+            )
+        args = (
+            len(g.entities) + rng.randint(1, 3),  # start_count above |V|
+            rng.randint(1, 5),
+            rng.randint(1, 50),
+            rng.random() < 0.5,
+        )
+        got = retrieve_paths(g, prizes, *args)
+        assert got == networkx_paths(g, prizes, *args)
+        seen.add(("parallel", len({(t.subject, t.object) for t in g.triples}) < len(g.triples)))
+        seen.add(("self-loop", any(t.subject == t.object for t in g.triples)))
+        seen.add(("directed", args[3]))
+    assert {("parallel", True), ("self-loop", True), ("directed", True), ("directed", False)} <= seen
+
+
+# Prizes and costs that are not exact in binary, so near-ties are common and
+# a bound summed in another order than the path could round below a tie.
+near_tie_prizes = st.sampled_from([0.1, 0.2, 0.3, 0.7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=path_triples,
+    node_prizes=st.lists(near_tie_prizes, min_size=6, max_size=6),
+    edge_prizes=st.lists(near_tie_prizes, min_size=16, max_size=16),
+    cost=near_tie_prizes,
+    start_count=st.integers(1, 7),
+    max_len=st.integers(1, 5),
+    result_count=st.integers(1, 50),
+    directed_only=st.booleans(),
+)
+def test_pruning_keeps_near_ties(
+    triples, node_prizes, edge_prizes, cost, start_count, max_len, result_count, directed_only
+):
+    g = KnowledgeGraph.from_triples(triples, extra_entities=["a"])
+    prizes = prizes_of(
+        dict(zip("abcdef", node_prizes)), dict(zip(g.triples, edge_prizes)), cost=cost
+    )
+    args = (start_count, max_len, result_count, directed_only)
+    got = retrieve_paths(g, prizes, *args)
+    want = string_walk_paths(g, prizes, *args)
+    assert got == want
+    assert [p.score.hex() for p in got] == [p.score.hex() for p in want]
+
+
+def path_counts(caplog):
+    (record,) = [r for r in caplog.records if r.name == "kgr.retrieval"]
+    return record.args  # (visited, pruned)
+
+
+def test_pruning_visits_a_tenth_of_the_paths_on_a_random_graph(caplog):
+    rng = random.Random(2503)
+    g = random_graph(rng, 250, 1000, n_relations=10)
+    nodes, triples = list(g.entity_order), list(g.triples)
+    rng.shuffle(nodes)
+    rng.shuffle(triples)
+    prizes = assign_prizes(nodes, triples, k=15)
+    every_path = heap_and_collect_paths(g, prizes, 5, 4, 10**9, False)
+    with caplog.at_level(logging.DEBUG, logger="kgr.retrieval"):
+        got = retrieve_paths(g, prizes, start_count=5, max_len=4)
+    assert got == every_path[:15]
+    visited, pruned = path_counts(caplog)
+    assert pruned > 0
+    assert visited * 10 < len(every_path)
+
+
+def test_paths_without_pruning_visit_every_path(caplog):
+    # With one result slot per path nothing can fall short, so the counts
+    # equal the reference's path count.
+    rng = random.Random(2521)
+    g = random_graph(rng, 9, 20, allow_self_loops=True)
+    prizes = random_prizes(rng, g)
+    every_path = heap_and_collect_paths(g, prizes, 9, 4, 10**9, False)
+    with caplog.at_level(logging.DEBUG, logger="kgr.retrieval"):
+        retrieve_paths(g, prizes, start_count=9, max_len=4, result_count=len(every_path))
+    assert path_counts(caplog) == (len(every_path), 0)
+
+
+def test_paths_with_a_huge_max_len_on_a_tiny_graph_return_at_once():
+    g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
+    prizes = prizes_of({"a": 1.0, "b": 2.0, "c": 3.0}, cost=0.5)
+    got = retrieve_paths(g, prizes, start_count=3, max_len=10**9, result_count=100)
+    assert got == string_walk_paths(g, prizes, 3, 10**9, 100, False)
+    assert max(len(p.edges) for p in got) == 2
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, 1e308])
+def test_paths_with_non_finite_or_huge_prizes_match_the_reference(bad):
+    rng = random.Random(2531)
+    g = random_graph(rng, 7, 14)
+    prizes = random_prizes(rng, g)
+    prizes.node_prizes[g.entity_order[2]] = bad
+    for result_count in (1, 3, 10):
+        got = retrieve_paths(g, prizes, 7, 4, result_count, False)
+        want = string_walk_paths(g, prizes, 7, 4, result_count, False)
+        assert [(p.nodes, p.edges) for p in got] == [(p.nodes, p.edges) for p in want]
+        assert [p.score.hex() for p in got] == [p.score.hex() for p in want]
 
 
 def test_pcst_star_keeps_center_alone():
