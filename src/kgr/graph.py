@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count, repeat
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,6 +146,62 @@ class KnowledgeGraph:
         )
         return child
 
+    def _locate(self, triples: Sequence[Triple]) -> np.ndarray:
+        """Each triple's position in :attr:`triples`, or -1 where it is absent."""
+        n, k = len(self.entities), len(self.relations)
+        subjects, objects = self.endpoint_ids
+        keys = np.append(_keys(n, k, subjects, self.relation_ids, objects), -1)
+        wanted = _keys(n, k, *_columns(self.entity_index, sorted(self.relations), triples))
+        at = np.searchsorted(keys[:-1], wanted)  # past the last key: the -1 appended
+        return np.where((keys[at] == wanted) & (wanted >= 0), at, -1)
+
+    def _spliced(self, dropped: np.ndarray, added: Sequence[Triple]) -> "KnowledgeGraph":
+        """This graph without the triples at positions ``dropped``, plus ``added``.
+
+        ``added`` must be sorted and duplicate-free, with endpoints among this
+        graph's entities; an added triple that is kept anyway is not added
+        twice.  The child is built by one ``from_triples`` call over the kept
+        triples in this graph's order followed by the new ones, and it carries
+        this graph's entity order and index.  Its endpoint and relation ids
+        are this graph's, gathered at the kept positions, with the new
+        triples' ids inserted at their sorted slots: only the added triples
+        are looked up by string.  The slots come from integer keys (see
+        :func:`_keys`) over this graph's relations and the added ones, and
+        the relation ids are renumbered when a label appears or disappears.
+        """
+        relations = sorted(self.relations.union(map(itemgetter(1), added)))
+        index = dict(zip(relations, count()))
+        to_union = np.fromiter(map(index.__getitem__, sorted(self.relations)), np.intp, len(self.relations))
+        keep = np.ones(len(self.triples), dtype=bool)
+        keep[dropped] = False
+        kept = np.flatnonzero(keep)
+        subjects, objects = self.endpoint_ids
+        mine = subjects[kept], to_union[self.relation_ids[kept]], objects[kept]
+        theirs = _columns(self.entity_index, relations, added)
+        n, k = len(self.entities), len(relations)
+        kept_keys, added_keys = _keys(n, k, *mine), _keys(n, k, *theirs)
+        slots = np.searchsorted(kept_keys, added_keys)
+        fresh = np.append(kept_keys, -1)[slots] != added_keys
+        child = KnowledgeGraph.from_triples(
+            _gather(self.triples, kept) + tuple(compress(added, fresh.tolist())),
+            extra_entities=self.entities,
+        )
+        subjects, relation_ids, objects = (
+            np.insert(ids, slots[fresh], new[fresh]) for ids, new in zip(mine, theirs)
+        )
+        used = np.zeros(len(relations), dtype=bool)
+        used[relation_ids] = True
+        if not used.all():
+            relation_ids = (np.cumsum(used, dtype=np.intp) - 1)[relation_ids]
+        subjects.flags.writeable = objects.flags.writeable = relation_ids.flags.writeable = False
+        vars(child).update(
+            entity_order=self.entity_order,
+            entity_index=self.entity_index,
+            endpoint_ids=(subjects, objects),
+            relation_ids=relation_ids,
+        )
+        return child
+
     @cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Triples touching each entity, as ``(indptr, triple_ids)``.
@@ -214,6 +271,32 @@ def _positions(index: dict[str, int], triples: tuple[Triple, ...], field: int) -
     return ids
 
 
+def _columns(
+    entity_index: dict[str, int], relations: list[str], triples: Sequence[Triple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subject, relation and object ids of each triple, relations by their
+    position in the sorted ``relations``; -1 for an id not in the index."""
+    relation_index = dict(zip(relations, count()))
+    return tuple(
+        np.fromiter(map(index.get, map(itemgetter(field), triples), repeat(-1)), np.intp, len(triples))
+        for index, field in ((entity_index, 0), (relation_index, 1), (entity_index, 2))
+    )
+
+
+def _keys(n_entities: int, n_relations: int, subjects, relation_ids, objects) -> np.ndarray:
+    """One integer key ``(s * |R| + r) * |V| + o`` per id triple.
+
+    Entity and relation ids follow string order, so the keys sort exactly
+    as the triples do.  A triple with an id of -1 gets the key -1, which no
+    triple has.  Keys are int64 unless the largest, ``|V|**2 * |R| - 1``,
+    does not fit; they are Python ints in an object array then.
+    """
+    dtype = np.int64 if n_entities * n_entities * n_relations < 2**63 else object
+    keys = (subjects.astype(dtype) * n_relations + relation_ids) * n_entities + objects
+    keys[(subjects < 0) | (relation_ids < 0) | (objects < 0)] = -1
+    return keys
+
+
 def _clustering(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Local clustering of nodes ``0..size-1`` joined by the edges ``a[i]--b[i]``.
 
@@ -226,10 +309,15 @@ def _clustering(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     that is itself an edge closes a triangle.  Hubs keep few out-edges, so
     far fewer pairs are tried than the sum of squared degrees that
     neighbour-set intersections or the product ``A @ A`` would visit.
+
+    The simple edges are the sorted edge keys without adjacent repeats:
+    the same array as ``np.unique`` gives, which since numpy 2.3 fills a
+    hash table before it sorts, at several times the cost of the sort.
     """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     keep = lo != hi
-    pairs = np.unique(lo[keep] * size + hi[keep])  # sorted keys of the simple edges
+    keys = np.sort(lo[keep] * size + hi[keep])
+    pairs = keys[np.diff(keys, prepend=-1) != 0]  # sorted keys of the simple edges
     lo, hi = np.divmod(pairs, size)
     deg = np.bincount(lo, minlength=size) + np.bincount(hi, minlength=size)
     up = deg[lo] <= deg[hi]  # lo < hi breaks degree ties

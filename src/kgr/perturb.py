@@ -22,11 +22,11 @@ reproduces its graph exactly.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import filterfalse
 from typing import Iterable, Iterator, Sequence
 
 from .graph import KnowledgeGraph, Triple
@@ -50,6 +50,8 @@ _ALIASES = {
     "er": METHOD_EDGE_REWIRE,
     "ed": METHOD_EDGE_DELETE,
 }
+
+logger = logging.getLogger(__name__)
 
 REPLACE_LEAST_PLAUSIBLE = "least_plausible"
 REPLACE_MOST_PLAUSIBLE = "most_plausible"
@@ -228,21 +230,30 @@ def replay_edit_log(g: KnowledgeGraph, edit_log: Sequence[EditRecord]) -> Knowle
     Removals and additions are applied as one batch, ``(T - removed) |
     added``, which makes the replay insensitive to entries whose
     before/after triples overlap (e.g. a relation swap across parallel
-    edges).  ``from_triples`` gets the kept triples in ``g``'s order and
-    then the added ones sorted: two sorted runs, which it merges instead
-    of fully sorting, and where it drops an added triple that is also kept.
-    Raises ``ValueError`` if an applied edit removes a triple neither in
-    ``g`` nor added by the log, or adds one with an entity ``g`` lacks.
+    edges).  Raises ``ValueError`` if an applied edit removes a triple
+    neither in ``g`` nor added by the log, or adds one with an entity ``g``
+    lacks; the removal is checked first.
+
+    The result shares ``g``'s entity order and index and inherits its id
+    arrays (:meth:`KnowledgeGraph._spliced`), so only the log's triples are
+    looked up by string.  A DEBUG line counts the triples removed, added,
+    and dropped because they were already present.
     """
-    removed = {rec.before for rec in edit_log if not rec.skipped}
+    removed = list({rec.before for rec in edit_log if not rec.skipped})
     added = sorted({rec.after for rec in edit_log if not rec.skipped and rec.after is not None})
-    kept = list(filterfalse(removed.__contains__, g.triples))
-    # Triples are unique, so the counts differ only if a removed one is not in g.
-    if len(kept) + len(removed) != len(g.triples) and not removed.difference(g.triples) <= set(added):
+    at = g._locate(removed)
+    if not {t for t, i in zip(removed, at.tolist()) if i < 0}.issubset(added):
         raise ValueError("edit log removes a triple that is not in the graph")
     if not all(t.subject in g.entities and t.object in g.entities for t in added):
         raise ValueError("edit log adds a triple with an entity that is not in the graph")
-    return KnowledgeGraph.from_triples(kept + added, extra_entities=g.entities)
+    dropped = at[at >= 0]
+    child = g._spliced(dropped, added)
+    fresh = len(child.triples) - len(g.triples) + len(dropped)
+    logger.debug(
+        "replay_edit_log: %d triples removed, %d added, %d already present",
+        len(dropped), fresh, len(added) - fresh,
+    )
+    return child
 
 
 def edit_log_to_jsonl(edit_log: Iterable[EditRecord]) -> str:

@@ -38,16 +38,18 @@ def random_graph(
 
 
 def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
-    """Equal content and layout, endpoint and relation id arrays included;
-    ``expected`` is also rebuilt by ``from_triples`` so its arrays come from
-    a fresh lookup."""
+    """Equal content and layout: entity order and index, endpoint and
+    relation id arrays and incidence included.  ``expected`` is also rebuilt
+    by ``from_triples`` so its indexes come from a fresh lookup."""
     rebuilt = KnowledgeGraph.from_triples(expected.triples, extra_entities=expected.entities)
     for other in (expected, rebuilt):
         assert g == other
         assert g.relations == other.relations
         assert g.entity_order == other.entity_order
+        assert g.entity_index == other.entity_index
         for mine, theirs in zip(
-            (*g.endpoint_ids, g.relation_ids), (*other.endpoint_ids, other.relation_ids)
+            (*g.endpoint_ids, g.relation_ids, *g.incidence),
+            (*other.endpoint_ids, other.relation_ids, *other.incidence),
         ):
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
     subjects, objects = g.endpoint_ids

@@ -15,6 +15,8 @@ from kgr.graph import (
     KnowledgeGraph,
     RelationNotFoundError,
     Triple,
+    _clustering,
+    _keys,
     graph_stats,
     relation_subgraph,
 )
@@ -212,6 +214,74 @@ def test_clustering_matches_neighbor_pair_count():
             assert got == pytest.approx(expected)
             assert 0.0 <= got <= 1.0
             assert per_node[i] == got
+
+
+def test_triple_keys_sort_as_the_id_triples_without_overflow():
+    # int64 up to |V|**2 * |R| = 2**62, Python ints above 2**63.
+    rng = random.Random(5)
+    for n, k in ((7, 3), (2**21, 2**20), (2**32, 5)):
+        ids = [(rng.randrange(n), rng.randrange(k), rng.randrange(n)) for _ in range(200)]
+        ids += [(n - 1, k - 1, n - 1), (0, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+        keys = _keys(n, k, *(np.array(column, dtype=np.intp) for column in zip(*ids)))
+        assert keys.dtype == (object if n * n * k >= 2**63 else np.int64)
+        assert keys.tolist() == [(s * k + r) * n + o if min(s, r, o) >= 0 else -1 for s, r, o in ids]
+        valid = range(len(ids) - 3)
+        assert sorted(valid, key=keys.__getitem__) == sorted(valid, key=ids.__getitem__)
+
+
+def unique_clustering(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forward-algorithm kernel as it was with ``np.unique`` for the
+    simple edges, kept as a reference for ``_clustering``'s bytes."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = lo != hi
+    pairs = np.unique(lo[keep] * size + hi[keep])
+    lo, hi = np.divmod(pairs, size)
+    deg = np.bincount(lo, minlength=size) + np.bincount(hi, minlength=size)
+    up = deg[lo] <= deg[hi]
+    src, dst = np.where(up, lo, hi), np.where(up, hi, lo)
+    order = np.argsort(src)
+    src, dst = src[order], dst[order]
+    later = np.searchsorted(src, src, side="right") - np.arange(len(src)) - 1
+    i = np.repeat(np.arange(len(src)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    u, w = dst[i], dst[j]
+    wanted = np.minimum(u, w) * size + np.maximum(u, w)
+    found = pairs[np.minimum(np.searchsorted(pairs, wanted), len(pairs) - 1)] == wanted
+    tri = np.bincount(np.concatenate((src[i[found]], u[found], w[found])), minlength=size)
+    c = np.zeros(size, dtype=np.float64)
+    wedged = deg >= 2
+    c[wedged] = 2.0 * tri[wedged] / (deg[wedged] * (deg[wedged] - 1))
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 9),
+    edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=40),
+)
+@example(size=3, edges=[])
+@example(size=3, edges=[(0, 0), (1, 1), (2, 2)])  # self-loops only: no simple edge
+@example(size=3, edges=[(0, 1), (1, 0), (0, 1), (1, 2), (2, 1), (2, 0), (0, 2)])  # repeats both ways
+def test_clustering_matches_the_unique_kernel_bit_for_bit(size, edges):
+    a = np.array([u % size for u, _ in edges], dtype=np.intp)
+    b = np.array([w % size for _, w in edges], dtype=np.intp)
+    got = _clustering(size, a, b)
+    assert got.dtype == np.float64 and got.tobytes() == unique_clustering(size, a, b).tobytes()
+
+
+def test_clustering_of_self_loops_and_repeated_edges():
+    # A relation block of self-loops only has an empty simple projection.
+    loops = KnowledgeGraph.from_triples(
+        [("A", "loop", "A"), ("B", "loop", "B"), ("A", "r", "B"), ("B", "r", "C"), ("C", "r", "A")]
+    )
+    assert loops.mean_relation_clustering.tolist() == [0.5, 0.5, 0.5]
+    empty = np.zeros(0, dtype=np.intp)
+    assert _clustering(0, empty, empty).tolist() == []
+    assert _clustering(2, np.array([0, 1]), np.array([0, 1])).tolist() == [0.0, 0.0]
+    # Duplicate and antiparallel edges count once in the projection.
+    a, b = np.array([0, 1, 0, 1, 2, 2, 0]), np.array([1, 0, 1, 2, 1, 0, 2])
+    assert _clustering(4, a, b).tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert _clustering(3, a[:5], b[:5]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_stats_clustering_is_the_per_node_mean_bit_for_bit():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kgr.graph
 from kgr.graph import KnowledgeGraph, Triple
 from kgr.metrics import fit_baseline_scorer
 from kgr.ingest import serialize
@@ -503,6 +506,105 @@ def test_replay_applies_hand_written_logs_as_one_batch():
         replayed = replay_edit_log(g, log)
         assert replayed.triples == tuple(sorted(expected)), log
         assert_same_graph(replayed, KnowledgeGraph.from_triples(expected, extra_entities=g.entities))
+
+
+SMALL = ["a", "b", "c", "d"]
+GRAPH_TRIPLES = st.builds(Triple, st.sampled_from(SMALL), st.sampled_from(["r0", "r2"]), st.sampled_from(SMALL))
+# Added triples may carry the entity z or the label r1, which no graph has
+# and which sorts between the graphs' labels.
+LOG_TRIPLES = st.builds(
+    Triple, st.sampled_from(SMALL + ["z"]), st.sampled_from(["r0", "r1", "r2"]), st.sampled_from(SMALL)
+)
+
+
+@st.composite
+def graphs_and_logs(draw):
+    """A small graph and a hand-written log whose records mostly name its
+    triples, so removals, re-additions and kept additions are common."""
+    g = KnowledgeGraph.from_triples(
+        draw(st.lists(GRAPH_TRIPLES, max_size=12)), extra_entities=draw(st.lists(st.sampled_from(SMALL), max_size=2))
+    )
+    named = st.sampled_from(g.triples) | GRAPH_TRIPLES if g.triples else GRAPH_TRIPLES
+    record = st.one_of(
+        st.builds(EditRecord, st.just("edge_delete"), named, st.none()),
+        st.builds(
+            EditRecord, st.sampled_from(["edge_rewire", "relation_replace", "relation_swap"]),
+            named, named | LOG_TRIPLES,
+        ),
+        st.builds(lambda op, t: EditRecord(op + "_skipped", t, t), st.sampled_from(METHODS), LOG_TRIPLES),
+    )
+    return g, draw(st.lists(record, max_size=6))
+
+
+def _case(triples: list[str], log: list[tuple[str, str, str | None]], isolated: str = ""):
+    """A graph of ``"s r o"`` triples and a log of ``(op, before, after)``."""
+    g = KnowledgeGraph.from_triples((t.split() for t in triples), extra_entities=isolated)
+    return g, [EditRecord(op, Triple(*b.split()), a and Triple(*a.split())) for op, b, a in log]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=graphs_and_logs())
+# A relation label the graph lacks.
+@example(case=_case(["a r0 b", "b r2 c"], [("relation_replace", "a r0 b", "a r1 b")]))
+# A relation emptied, so the ids of the labels after it shift.
+@example(case=_case(["a r0 b", "b r2 c"], [("edge_delete", "a r0 b", None)]))
+# An added triple that is kept anyway.
+@example(case=_case(["a r0 b", "b r0 c"], [("edge_rewire", "a r0 b", "b r0 c")]))
+# A triple removed and added back.
+@example(case=_case(["a r0 b", "b r0 c"], [("edge_delete", "a r0 b", None), ("relation_swap", "b r0 c", "a r0 b")]))
+# A removed triple that the graph lacks but the log adds.
+@example(case=_case(["a r0 b"], [("edge_rewire", "a r0 b", "a r0 c"), ("edge_rewire", "a r0 c", "a r2 c")], "c"))
+# A bad removal and a bad addition: the removal is reported.
+@example(case=_case(["a r0 b"], [("edge_rewire", "c r0 d", "z r0 b")]))
+def test_replay_is_the_batch_rule_on_hand_written_logs(case):
+    g, log = case
+    applied = [rec for rec in log if not rec.skipped]
+    removed = {rec.before for rec in applied}
+    added = {rec.after for rec in applied if rec.after is not None}
+    if not removed - added <= set(g.triples):
+        with pytest.raises(ValueError, match="^edit log removes a triple that is not in the graph$"):
+            replay_edit_log(g, log)
+    elif not all(t.subject in g.entities and t.object in g.entities for t in added):
+        with pytest.raises(ValueError, match="^edit log adds a triple with an entity that is not in the graph$"):
+            replay_edit_log(g, log)
+    else:
+        expected = KnowledgeGraph.from_triples((set(g.triples) - removed) | added, extra_entities=g.entities)
+        assert_same_graph(replay_edit_log(g, log), expected)
+
+
+def test_replay_with_python_int_keys_matches(monkeypatch):
+    # Keys that could overflow int64 are Python ints in object arrays.
+    # Widening the key space keeps the keys' order, so forcing that path
+    # on small graphs must give the same graphs.
+    keys = kgr.graph._keys
+    monkeypatch.setattr(kgr.graph, "_keys", lambda n, k, *ids: keys(n + 2**40, k + 2**20, *ids))
+    assert kgr.graph._keys(1, 1, *[np.zeros(1, np.intp)] * 3).dtype == object
+    g = fixture_graph()
+    for method in METHODS:
+        for level in LEVELS:
+            result = perturb(g, PerturbationSpec(method, level, 5))
+            assert_same_graph(result.graph, KnowledgeGraph.from_triples(
+                (set(g.triples) - {r.before for r in result.edit_log if not r.skipped})
+                | {r.after for r in result.edit_log if not r.skipped and r.after is not None},
+                extra_entities=g.entities,
+            ))
+    log = [EditRecord("edge_rewire", g.triples[0], Triple(g.triples[0].subject, "r9", "e0"))]
+    assert "r9" in replay_edit_log(g, log).relations
+
+
+def test_replay_logs_what_it_changed(caplog):
+    g, log = _case(
+        ["a r0 b", "b r0 c", "c r0 d"],
+        [
+            ("edge_rewire", "b r0 c", "b r0 d"),
+            ("relation_replace", "a r0 b", "c r0 d"),  # c r0 d is kept anyway
+            ("edge_delete_skipped", "c r0 d", "c r0 d"),
+        ],
+    )
+    with caplog.at_level(logging.DEBUG, logger="kgr.perturb"):
+        replayed = replay_edit_log(g, log)
+    assert [" ".join(t) for t in replayed.triples] == ["b r0 d", "c r0 d"]
+    assert caplog.messages == ["replay_edit_log: 2 triples removed, 1 added, 1 already present"]
 
 
 def test_replay_rejects_edits_of_triples_or_entities_the_graph_lacks():

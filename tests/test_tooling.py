@@ -94,6 +94,21 @@ def test_perturb_builds_its_graph_through_from_triples_once(monkeypatch):
             assert builds == [KnowledgeGraph], (method, level)
 
 
+def test_perturb_carries_the_parents_index_family():
+    # A perturbed graph takes its parent's entity order and index and is
+    # handed its id arrays when built; a fallback to string lookups would
+    # only show as a slower damage benchmark.
+    g = KnowledgeGraph.from_triples(
+        [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r1", "d"), ("a", "r2", "d")]
+    )
+    for method in kgr.METHODS:
+        for level in (0.0, 0.5, 1.0):
+            child = kgr.perturb(g, kgr.PerturbationSpec(method, level, 7)).graph
+            assert {"endpoint_ids", "relation_ids"} <= vars(child).keys(), (method, level)
+            assert child.entity_order is g.entity_order, (method, level)
+            assert child.entity_index is g.entity_index, (method, level)
+
+
 def test_pcst_builds_its_subgraph_through_from_triples_once(monkeypatch):
     # In traced qa this call is the graph layer's only per-op span; a
     # subgraph built any other way leaves that heavy layer without spans.
