@@ -33,6 +33,13 @@ class Triple(NamedTuple):
     object: str
 
 
+class _Canonical(tuple):
+    """Triples that are sorted, duplicate-free ``Triple`` instances with
+    non-empty fields and endpoints among the given extra entities.
+    :meth:`KnowledgeGraph.from_triples` takes them as they are, and its
+    extras as the whole entity and relation sets."""
+
+
 @dataclass(frozen=True, eq=False)
 class KnowledgeGraph:
     """Immutable directed multigraph with string entity/relation ids.
@@ -59,10 +66,14 @@ class KnowledgeGraph:
         supporting triple (isolated nodes, orphan relation labels).
         Raises ``ValueError`` on empty ids.  The result does not depend on
         the input's order or repeats.  Deduplication keeps the input's order
-        until the sort, so input made of a few sorted runs (such as
-        a perturbed graph's kept parent triples followed by its sorted new
-        ones) sorts in about one comparison per triple.
+        until the sort, so input made of a few sorted runs sorts in about
+        one comparison per triple.  A perturbed graph's triples come already
+        canonical, with its whole member sets as the extras
+        (:meth:`_spliced`), and are taken as they are.
         """
+        if type(triples) is _Canonical:
+            # A spliced graph's triples, and its whole entity and relation sets.
+            return cls(frozenset(extra_entities), frozenset(extra_relations), tuple(triples))
         seen = dict.fromkeys(t if isinstance(t, Triple) else Triple(*t) for t in triples)
         subjects, relations, objects = (set(map(itemgetter(k), seen)) for k in range(3))
         if not (all(subjects) and all(relations) and all(objects)):
@@ -160,18 +171,21 @@ class KnowledgeGraph:
 
         ``added`` must be sorted and duplicate-free, with endpoints among this
         graph's entities; an added triple that is kept anyway is not added
-        twice.  The child is built by one ``from_triples`` call over the kept
-        triples in this graph's order followed by the new ones, and it carries
-        this graph's entity order and index.  Its endpoint and relation ids
-        are this graph's, gathered at the kept positions, with the new
-        triples' ids inserted at their sorted slots: only the added triples
-        are looked up by string.  The slots come from integer keys (see
+        twice.  The child keeps this graph's orphan relation labels (those
+        without a triple) and carries its entity set, order and index.  Its
+        triples and its endpoint and relation ids are this graph's, gathered
+        at the kept positions, with the new triples and their ids inserted at
+        their sorted slots: only the added triples are looked up by string,
+        and nothing is re-sorted.  The slots come from integer keys (see
         :func:`_keys`) over this graph's relations and the added ones, and
         the relation ids are renumbered when a label appears or disappears.
+        The child is built by one ``from_triples`` call, which takes the
+        merged triples as they are.
         """
+        own = sorted(self.relations)
         relations = sorted(self.relations.union(map(itemgetter(1), added)))
         index = dict(zip(relations, count()))
-        to_union = np.fromiter(map(index.__getitem__, sorted(self.relations)), np.intp, len(self.relations))
+        to_union = np.fromiter(map(index.__getitem__, own), np.intp, len(own))
         keep = np.ones(len(self.triples), dtype=bool)
         keep[dropped] = False
         kept = np.flatnonzero(keep)
@@ -182,17 +196,30 @@ class KnowledgeGraph:
         kept_keys, added_keys = _keys(n, k, *mine), _keys(n, k, *theirs)
         slots = np.searchsorted(kept_keys, added_keys)
         fresh = np.append(kept_keys, -1)[slots] != added_keys
-        child = KnowledgeGraph.from_triples(
-            _gather(self.triples, kept) + tuple(compress(added, fresh.tolist())),
-            extra_entities=self.entities,
-        )
+        new = tuple(compress(added, fresh.tolist()))
+        bad = next((t for t in new if not all(t)), None)
+        if bad is not None:
+            raise ValueError(f"triple with empty field: {bad!r}")
         subjects, relation_ids, objects = (
-            np.insert(ids, slots[fresh], new[fresh]) for ids, new in zip(mine, theirs)
+            np.insert(ids, slots[fresh], ids_new[fresh]) for ids, ids_new in zip(mine, theirs)
         )
         used = np.zeros(len(relations), dtype=bool)
         used[relation_ids] = True
         if not used.all():
+            # A label no triple uses stays when this graph has it without a
+            # triple too; one whose triples were all dropped goes.
+            stays = np.ones(len(own), dtype=bool)
+            stays[self.relation_ids[dropped]] = False
+            used[to_union[stays]] = True
             relation_ids = (np.cumsum(used, dtype=np.intp) - 1)[relation_ids]
+        # The kept triples and the new ones at their slots: sorted already.
+        pool = self.triples + new
+        at = np.insert(kept, slots[fresh], np.arange(len(self.triples), len(pool)))
+        child = KnowledgeGraph.from_triples(
+            _Canonical(_gather(pool, at)),
+            extra_entities=self.entities,
+            extra_relations=compress(relations, used.tolist()),
+        )
         subjects.flags.writeable = objects.flags.writeable = relation_ids.flags.writeable = False
         vars(child).update(
             entity_order=self.entity_order,

@@ -11,13 +11,13 @@ Four heuristics, each parameterized by a level rho in [0, 1] and a seed:
 * ``edge_delete``      -- chosen edges are removed outright.
 
 Edges are chosen by deterministically shuffling the canonical triple
-order with the given seed, once per call, so equal inputs give equal
-outputs.  Replace and rewire share one loop: the first candidate not yet
-in the working triple set replaces the edge, and an edge with no
-candidate left is logged as skipped.  The entity set is never changed and
-every edit is logged; the perturbed graph is built by replaying that log
-against the original graph (:func:`replay_edit_log`), so a logged run
-reproduces its graph exactly.
+order with the given seed, once per call that has an edge to edit, so
+equal inputs give equal outputs.  Replace and rewire share one loop: the
+first candidate not yet in the working triple set replaces the edge, and
+an edge with no candidate left is logged as skipped.  The entity set is
+never changed and every edit is logged; the perturbed graph is built by
+replaying that log against the original graph (:func:`replay_edit_log`),
+so a logged run reproduces its graph exactly.
 """
 
 from __future__ import annotations
@@ -203,10 +203,15 @@ def perturb(
     """
     if replace_mode not in REPLACE_MODES:
         raise ValueError(f"unknown replace mode {replace_mode!r}")
+    count = round_half_up(spec.level * len(g.triples))
+    if not count:
+        # Every method's log is empty and nothing would read the generator,
+        # so the shuffle is skipped.
+        return PerturbedGraph(graph=replay_edit_log(g, ()), edit_log=())
     rng = random.Random(spec.seed)
     shuffled = list(g.triples)
     rng.shuffle(shuffled)
-    targets = shuffled[: round_half_up(spec.level * len(shuffled))]
+    targets = shuffled[:count]
     # The working triple set; only the methods that add triples read it.
     current = set(g.triples) if spec.method != METHOD_EDGE_DELETE else None
     if spec.method == METHOD_RELATION_SWAP:
@@ -234,9 +239,10 @@ def replay_edit_log(g: KnowledgeGraph, edit_log: Sequence[EditRecord]) -> Knowle
     neither in ``g`` nor added by the log, or adds one with an entity ``g``
     lacks; the removal is checked first.
 
-    The result shares ``g``'s entity order and index and inherits its id
-    arrays (:meth:`KnowledgeGraph._spliced`), so only the log's triples are
-    looked up by string.  A DEBUG line counts the triples removed, added,
+    The result keeps ``g``'s orphan relation labels, shares its entity
+    order and index and inherits its id arrays
+    (:meth:`KnowledgeGraph._spliced`), so only the log's triples are looked
+    up by string.  A DEBUG line counts the triples removed, added,
     and dropped because they were already present.
     """
     removed = list({rec.before for rec in edit_log if not rec.skipped})

@@ -393,8 +393,11 @@ class _Transformed(NamedTuple):
     triple order, that carries the surplus.  ``adjacency[u]`` lists
     ``(v, reduced_cost, triple_id)``: every triple touching an entity, or
     the two ends of a virtual node's triple.  ``edge_prize`` and ``ends``
-    (subject and object ids) are indexed by triple id.  Ids compare like
-    the sorted entities and triples they stand for, so ties break on ids.
+    (subject and object ids) are indexed by triple id.  ``carriers`` are
+    the nodes of positive prize, in no particular order, and ``live`` maps
+    an entity to the live triples touching it: those whose prize exceeds
+    the cost or with an endpoint of positive prize.  Ids compare like the
+    sorted entities and triples they stand for, so ties break on ids.
     """
 
     adjacency: list[list[tuple[int, float, int]]]
@@ -403,15 +406,35 @@ class _Transformed(NamedTuple):
     edge_prize: list[float]
     ends: list[tuple[int, int]]
     cost: float
+    carriers: list[int]
+    live: dict[int, list[int]]
 
 
 def _transformed_graph(g: KnowledgeGraph, prizes: PrizeAssignment) -> _Transformed:
-    """Fold each edge prize into a reduced cost over ``g``'s endpoint ids."""
+    """Fold each edge prize into a reduced cost over ``g``'s endpoint ids.
+
+    The prize lists start at zero and take the prize maps' entries, so
+    the cost of the lookups follows the number of prizes, not the graph.
+    """
     cost = prizes.edge_cost
-    prize_of = list(map(prizes.node_prize, g.entity_order))
-    edge_prize = list(map(prizes.edge_prize, g.triples))
+    index = g.entity_index
+    prize_of = [0.0] * len(index)
+    carriers = []
+    for entity, p in prizes.node_prizes.items():
+        v = index.get(entity)
+        if v is not None:
+            prize_of[v] = p
+            if p > 0.0:
+                carriers.append(v)
+    edge_prize = [0.0] * len(g.triples)
+    if prizes.edge_prizes:
+        prized = list(prizes.edge_prizes.items())
+        for t, (_, p) in zip(g._locate([t for t, _ in prized]).tolist(), prized):
+            if t >= 0:
+                edge_prize[t] = p
     ends = list(zip(*(ids.tolist() for ids in g.endpoint_ids)))
     adjacency: list[list[tuple[int, float, int]]] = [[] for _ in prize_of]
+    live: set[int] = set()
     for t, (s, o) in enumerate(ends):
         reduced = cost - edge_prize[t]
         if reduced >= 0.0:
@@ -420,86 +443,119 @@ def _transformed_graph(g: KnowledgeGraph, prizes: PrizeAssignment) -> _Transform
         else:
             v = len(prize_of)
             prize_of.append(-reduced)
+            carriers.append(v)
+            live.add(t)
             adjacency.append([(s, 0.0, t), (o, 0.0, t)])
             adjacency[s].append((v, 0.0, t))
             adjacency[o].append((v, 0.0, t))
-    return _Transformed(adjacency, prize_of, len(g.entity_order), edge_prize, ends, cost)
+    entity_count = len(index)
+    for v in carriers:
+        if v < entity_count:
+            live.update(t for _, _, t in adjacency[v])
+    live_at: dict[int, list[int]] = {}
+    for t in live:
+        s, o = ends[t]
+        live_at.setdefault(s, []).append(t)
+        if o != s:
+            live_at.setdefault(o, []).append(t)
+    return _Transformed(
+        adjacency, prize_of, entity_count, edge_prize, ends, cost, carriers, live_at
+    )
 
 
-def _grow_tree(adjacency, prize_of, root: int, greedy_prizes: bool):
-    """Spanning tree of the root's component, grown best-edge-first.
+def _grow_tree(adjacency, prize_of, root: int, greedy_prizes: bool, carriers: int):
+    """Tree of the root's component, grown best-edge-first until it holds
+    all ``carriers`` nodes of positive prize (the root being one of them)
+    or spans the component.
 
     With ``greedy_prizes`` the priority is the edge cost minus the new
     node's prize (chase value); without it the priority is the plain
     edge cost (a minimum-spanning-tree shape).  Ties pop in push order.
-    Returns parent pointers in the order nodes joined the tree:
-    node -> (parent, cost, triple id), the root mapping to ``None``.
+    Returns ``(order, links, holds_all)``: the nodes in the order they
+    joined, each one's ``(parent position in order, cost, triple id)``
+    (``None`` for the root), and whether every carrier joined.
 
     A node is pushed only when its priority is strictly below the lowest
     already queued for it.  That is exact: a skipped entry would sort
     after the queued one (priority not lower, counter larger), so it
-    would pop only once the node is in the tree, and be dropped.
+    would pop only once the node is in the tree, and be dropped.  So a
+    node's first pop is its latest push, whose link is the one kept.
+
+    Stopping at the last carrier is exact for :func:`_best_subtree`: every
+    node that would join later heads a subtree without a carrier, so its
+    value is at most 0 while its link cost is at least 0, and it can
+    neither be kept under a parent nor top the best subtree.
     """
-    parent: dict[int, tuple[int, float, int] | None] = {root: None}
+    in_tree = [False] * len(prize_of)
     # Lowest priority queued per node; -inf once the node is in the tree,
     # so no priority beats it.
     lowest = [math.inf] * len(prize_of)
+    pushed: list = [None] * len(prize_of)  # each node's link at its latest push
+    in_tree[root] = True
     lowest[root] = -math.inf
-    heap: list[tuple[float, int, int, int, float, int]] = []
-    counter = itertools.count()
-    node = root
-    while True:
+    order, links = [root], [None]
+    heap: list[tuple[float, int, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
+    node, at, pushes, remaining = root, 0, 0, carriers - 1
+    while remaining:
         for other, cost, t in adjacency[node]:
             priority = cost - prize_of[other] if greedy_prizes else cost
             if priority < lowest[other]:
                 lowest[other] = priority
-                heapq.heappush(heap, (priority, next(counter), other, node, cost, t))
+                pushed[other] = (at, cost, t)
+                pushes += 1
+                push(heap, (priority, pushes, other))
         while heap:
-            _, _, node, par, cost, t = heapq.heappop(heap)
-            if node not in parent:
-                parent[node] = (par, cost, t)
-                lowest[node] = -math.inf
+            node = pop(heap)[2]
+            if not in_tree[node]:
                 break
         else:
-            return parent
+            return order, links, False
+        in_tree[node] = True
+        lowest[node] = -math.inf
+        at += 1
+        order.append(node)
+        links.append(pushed[node])
+        if prize_of[node] > 0.0:
+            remaining -= 1
+    return order, links, True
 
 
-def _best_subtree(parent, prize_of):
+def _best_subtree(order, links, prize_of) -> list[int]:
     """Exact best prize-minus-cost connected subtree of a tree.
 
-    Dynamic program over the tree of ``parent`` pointers: a child's
-    branch is kept only when its value exceeds the edge cost into it
-    (net-gain pruning).  Returns the nodes of the best subtree; between
-    equal values the subtree topped by the smallest id wins.
+    Dynamic program over the tree that :func:`_grow_tree` returns: a
+    child's branch is kept only when its value exceeds the edge cost into
+    it (net-gain pruning).  Returns the positions in ``order`` of the best
+    subtree, its top first; between equal values the subtree topped by the
+    smallest node id wins.
     """
-    # ``parent`` lists every node after its parent, so its reverse visits
-    # children first.  ``kept_children`` therefore fills in reverse join
-    # order; gains are added in join order, which fixes the float sum.
-    down: dict[int, float] = {}
-    kept_children: dict[int, list[int]] = {}
-    for node in reversed(parent):
-        value = prize_of[node]
-        kept = kept_children.get(node, ())
-        for child in reversed(kept):
-            value += down[child] - parent[child][1]
-        down[node] = value
-        link = parent[node]
-        if link is not None and value - link[1] > 0.0:
-            kept_children.setdefault(link[0], []).append(node)
+    # ``order`` lists every node after its parent, so its reverse visits
+    # children first.  A node's kept children therefore fill in reverse
+    # join order; gains are added in join order, which fixes the float sum.
+    down = list(map(prize_of.__getitem__, order))
+    kept: dict[int, list[int]] = {}
+    for i in range(len(order) - 1, -1, -1):
+        children = kept.get(i)
+        if children is not None:
+            value = down[i]
+            for child in reversed(children):
+                value += down[child] - links[child][1]
+            down[i] = value
+        link = links[i]
+        if link is not None and down[i] - link[1] > 0.0:
+            kept.setdefault(link[0], []).append(i)
 
-    best = max(down.values())
-    top = min(n for n, value in down.items() if value == best)
-    selected = {top}
-    stack = [top]
-    while stack:
-        for child in kept_children.get(stack.pop(), ()):
-            selected.add(child)
-            stack.append(child)
+    best = max(down)
+    top = min((i for i, value in enumerate(down) if value == best), key=order.__getitem__)
+    selected = [top]
+    for i in selected:  # grows while it is read: the kept subtree, breadth first
+        selected.extend(kept.get(i, ()))
     return selected
 
 
-def _subgraph_from_selection(tg: _Transformed, parent, selected):
-    """Map selected transformed nodes back to entity and triple ids.
+def _subgraph_from_selection(tg: _Transformed, order, links, selected):
+    """Map selected tree positions back to entity and triple ids.
 
     The score is node prizes plus edge prizes minus edge costs, summed
     with ``math.fsum``: correctly rounded, so the same for any order the
@@ -507,16 +563,17 @@ def _subgraph_from_selection(tg: _Transformed, parent, selected):
     """
     nodes: set[int] = set()
     triples: set[int] = set()
-    for key in selected:
+    top = selected[0]
+    for i in selected:
+        key = order[i]
         if key >= tg.entity_count:
             t = tg.adjacency[key][0][2]  # the triple this virtual node carries
             triples.add(t)
             nodes.update(tg.ends[t])
         else:
             nodes.add(key)
-            link = parent[key]
-            if link is not None and link[0] in selected:
-                triples.add(link[2])
+            if i != top:  # below the top, a node hangs from a selected parent
+                triples.add(links[i][2])
     _expand_greedily(tg, nodes, triples)
     prize_of, edge_prize, cost = tg.prize_of, tg.edge_prize, tg.cost
     score = math.fsum(
@@ -532,23 +589,14 @@ def _expand_greedily(tg: _Transformed, nodes: set[int], triples: set[int]) -> No
     must touch the current node set (connectivity); its marginal value is
     the edge gain plus the prize of any newly covered endpoint.  The single
     best candidate is taken per round, ties broken on the triple id.  Only
-    live triples enter the frontier: those whose edge prize exceeds the
-    cost or with an endpoint that has a positive prize.  No other triple
-    can have a positive marginal while the cost is non-negative.
+    live triples (``tg.live``) enter the frontier.  No other triple can
+    have a positive marginal while the cost is non-negative.
     """
-    adjacency, prize_of, _, edge_prize, ends, cost = tg
+    prize_of, edge_prize, ends, cost, live = tg.prize_of, tg.edge_prize, tg.ends, tg.cost, tg.live
     frontier: set[int] = set()  # live triples touching ``nodes``, not yet taken
-
-    def live(t: int) -> bool:
-        s, o = ends[t]
-        return edge_prize[t] > cost or prize_of[s] > 0.0 or prize_of[o] > 0.0
-
-    def touch(v: int) -> None:
-        prized = prize_of[v] > 0.0
-        frontier.update(t for _, _, t in adjacency[v] if t not in triples and (prized or live(t)))
-
     for v in nodes:
-        touch(v)
+        frontier.update(live.get(v, ()))
+    frontier -= triples
     while True:
         best: tuple[float, int] | None = None
         for t in frontier:
@@ -570,7 +618,7 @@ def _expand_greedily(tg: _Transformed, nodes: set[int], triples: set[int]) -> No
         for v in ends[chosen]:
             if v not in nodes:
                 nodes.add(v)
-                touch(v)
+                frontier.update(t for t in live.get(v, ()) if t not in triples)
 
 
 def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> ScoredSubgraph:
@@ -579,29 +627,34 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
     Heuristic: fold each edge prize into a reduced cost (surplus becomes
     a zero-cost virtual node); from each of the top ``_ROOT_COUNT`` prize
     carriers, and from the best carrier of every component those trees
-    miss, grow two spanning trees (prize-chasing and cheapest-edge),
-    keep each tree's best net-positive subtree, greedily attach any
-    remaining profitable edges, and return the best candidate.  With no
-    prizes anywhere the result degenerates to the single highest-degree
-    node.
+    miss, grow two trees (prize-chasing and cheapest-edge) until every
+    carrier has joined or the component is spanned, keep each tree's best
+    net-positive subtree, greedily attach any remaining profitable edges,
+    and return the best candidate.  With no prizes anywhere the result
+    degenerates to the single highest-degree node.  Raises ``ValueError``
+    for an empty graph, or for a NaN or infinite prize or edge cost.
 
     Every step runs on entity and triple ids; only the winning candidate
     is mapped back, through ``from_triples``.  A tree's heap queues a node
     again only when its priority strictly improves (the entries skipped
     could never win), and scores are correctly rounded sums, so the
-    result does not depend on the interpreter's hash seed.
+    result does not depend on the interpreter's hash seed.  A DEBUG line
+    counts the trees grown, those stopped at the last carrier and the
+    nodes they joined.
     """
     if not g.entities:
         raise ValueError("cannot retrieve from an empty graph")
+    values = itertools.chain(
+        (prizes.edge_cost,), prizes.node_prizes.values(), prizes.edge_prizes.values()
+    )
+    if not all(map(math.isfinite, values)):
+        raise ValueError("prizes and the edge cost must be finite")
     tg = _transformed_graph(g, prizes)
     adjacency, prize_of = tg.adjacency, tg.prize_of
     # Roots may be real nodes or the virtual carrier of a prized edge's
     # surplus -- otherwise a graph whose value sits entirely on edges
     # would never be entered at all.
-    prized = sorted(
-        (key for key, p in enumerate(prize_of) if p > 0.0),
-        key=lambda key: (-prize_of[key], key),
-    )
+    prized = sorted(tg.carriers, key=lambda key: (-prize_of[key], key))
     if not prized:
         # An entity's list holds one entry per triple end, so its length
         # is the degree; max keeps the first, smallest id among equals.
@@ -613,20 +666,30 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
 
     best_result: tuple | None = None
     reached: set[int] = set()
+    grown = stopped = joined = 0
     for i, root in enumerate(prized):
         # Past the top roots, grow only from the best carrier of each
-        # component no tree has entered yet (a tree spans its component).
+        # component no tree has entered yet.
         if i >= _ROOT_COUNT and root in reached:
             continue
         for greedy_prizes in (True, False):
-            parent = _grow_tree(adjacency, prize_of, root, greedy_prizes)
-            reached.update(parent)
-            selected = _best_subtree(parent, prize_of)
-            nodes, triples, score = _subgraph_from_selection(tg, parent, selected)
+            order, links, holds_all = _grow_tree(
+                adjacency, prize_of, root, greedy_prizes, len(prized)
+            )
+            # A tree either spans its component or holds every carrier.
+            reached.update(order)
+            grown, stopped, joined = grown + 1, stopped + holds_all, joined + len(order)
+            selected = _best_subtree(order, links, prize_of)
+            nodes, triples, score = _subgraph_from_selection(tg, order, links, selected)
             key = (-score, tuple(sorted(nodes)), tuple(sorted(triples)))
             if best_result is None or key < best_result[0]:
                 best_result = (key, score)
 
+    logger.debug(
+        "retrieve_subgraph_pcst: %d trees grown, %d stopped at the last prize carrier; "
+        "%d nodes joined in all, %d in the transformed graph",
+        grown, stopped, joined, len(prize_of),
+    )
     assert best_result is not None
     (_, nodes, triples), score = best_result
     sub = KnowledgeGraph.from_triples(

@@ -11,6 +11,7 @@ the run metadata and writes nothing; ``kgr sweep`` writes them to disk.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import logging
 import time
 from collections import Counter
@@ -82,8 +83,9 @@ def run_sweep(
     over the cells that succeeded, and ``meta`` holds timings, skipped
     edits per cell (None for a failed cell) and memo counters.  One embedder
     serves every ranking; without a ``provider`` it is a fresh memoizing
-    fallback.  With that pure fallback each question keeps one similarity
-    memo, and a cell whose damaged graph equals ``g`` reuses the baseline
+    fallback.  A cell whose damaged graph equals ``g`` reuses one
+    ``compare(g, g)`` report.  With the pure fallback each question keeps
+    one similarity memo, and such a cell also reuses the baseline
     retrieval.  Raises ``ValueError`` for an empty grid, a bad method,
     level or replace mode, repeated query ids, or a graph without triples.
     """
@@ -120,14 +122,18 @@ def run_sweep(
     started, started_utc = time.perf_counter(), _dt.datetime.now(_dt.timezone.utc)
     scorer = fit_baseline_scorer(g)
     baseline = {q["id"]: retrieved(g, q) for q in queries}
+    unchanged_report = functools.cache(lambda: compare(g, g, scorer))
 
     def run_cell(spec: PerturbationSpec) -> tuple[dict, int | None]:
         """The cell's record and its skipped-edit count (None if it failed)."""
         cell = {"method": spec.method, "level": spec.level, "seed": spec.seed}
         try:
             pg = perturb(g, spec, scorer=scorer, replace_mode=replace_mode)
-            report = compare(g, pg.graph, scorer)
-            reuse = pure and pg.graph == g  # an unchanged graph retrieves the baseline
+            # Equal triples and entities mean equal relations too: a perturbed
+            # graph keeps g's orphan labels.
+            same = pg.graph == g
+            report = unchanged_report() if same else compare(g, pg.graph, scorer)
+            reuse = pure and same  # an unchanged graph retrieves the baseline
             counts["reused"] += reuse
             per_query = []
             for q in queries:

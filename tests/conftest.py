@@ -41,7 +41,9 @@ def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
     """Equal content and layout: entity order and index, endpoint and
     relation id arrays and incidence included.  ``expected`` is also rebuilt
     by ``from_triples`` so its indexes come from a fresh lookup."""
-    rebuilt = KnowledgeGraph.from_triples(expected.triples, extra_entities=expected.entities)
+    rebuilt = KnowledgeGraph.from_triples(
+        expected.triples, extra_entities=expected.entities, extra_relations=expected.relations
+    )
     for other in (expected, rebuilt):
         assert g == other
         assert g.relations == other.relations
@@ -60,6 +62,11 @@ def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
     assert g.relation_ids.dtype == np.intp
     for ids in (subjects, objects, g.relation_ids):
         assert not ids.flags.writeable
+
+
+def orphan_labels(g: KnowledgeGraph) -> set[str]:
+    """The relation labels of ``g`` that no triple uses."""
+    return g.relations - {t.relation for t in g.triples}
 
 
 def out_edges(g: KnowledgeGraph) -> dict[str, list[Triple]]:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import kgr.graph
 from kgr.graph import KnowledgeGraph, Triple
-from kgr.metrics import fit_baseline_scorer
+from kgr.metrics import compare, fit_baseline_scorer
 from kgr.ingest import serialize
 from kgr.perturb import (
     METHODS,
@@ -27,7 +27,7 @@ from kgr.perturb import (
     replay_edit_log,
     round_half_up,
 )
-from conftest import assert_same_graph, neighbor_sets, random_graph
+from conftest import assert_same_graph, neighbor_sets, orphan_labels, random_graph
 
 LEVELS = (0.0, 0.1, 0.5, 1.0)
 
@@ -92,6 +92,23 @@ def test_level_zero_is_identity():
         result = perturb(g, PerturbationSpec(method, 0.0, 9))
         assert result.graph == g
         assert result.edit_log == ()
+
+
+def test_a_no_op_perturbation_keeps_orphan_labels_and_reports_no_damage():
+    # r2 labels one triple and "orphan" none.  A level-0 perturbation leaves
+    # the graph as it was, so the relation-averaged vectors must not change.
+    g = KnowledgeGraph.from_triples(
+        [("a", "r1", "b"), ("b", "r1", "c"), ("c", "r1", "a"), ("a", "r2", "c")],
+        extra_relations=["orphan"],
+    )
+    for method in METHODS:
+        pg = perturb(g, PerturbationSpec(method, 0.0, 1))
+        assert pg.graph == g and pg.graph.relations == g.relations, method
+        report = compare(g, pg.graph)
+        assert (report.ats, report.sc2d, report.sd2) == (1.0, 1.0, 1.0), method
+    # Deleting r2's only triple drops r2 but keeps the orphan.
+    log = [EditRecord("edge_delete", Triple("a", "r2", "c"), None)]
+    assert replay_edit_log(g, log).relations == {"r1", "orphan"}
 
 
 def test_full_deletion_empties_triples_but_keeps_entities():
@@ -320,12 +337,14 @@ def test_replay_reproduces_any_perturbation(triples, isolated, method, level, se
     method="relation_replace", level=1.0, seed=3,
 )
 def test_perturbed_graph_matches_a_fresh_build(triples, isolated, orphans, method, level, seed):
-    # perturb hands from_triples its kept triples in parent order and then
-    # the sorted new ones; a hash-ordered set of the same triples must give
-    # the same layout and id arrays.
+    # perturb splices its new triples into the parent's at their sorted
+    # places; a hash-ordered set of the same triples must give the same
+    # layout and id arrays.
     g = KnowledgeGraph.from_triples(triples, extra_entities=isolated, extra_relations=orphans)
     result = perturb(g, PerturbationSpec(method, level, seed)).graph
-    assert_same_graph(result, KnowledgeGraph.from_triples(set(result.triples), extra_entities=g.entities))
+    assert_same_graph(result, KnowledgeGraph.from_triples(
+        set(result.triples), extra_entities=g.entities, extra_relations=orphan_labels(g)
+    ))
 
 
 def string_set_edge_rewire(g, level, seed):
@@ -481,7 +500,9 @@ def test_every_method_matches_its_sequential_reference(triples, lonely, orphans,
     pg = perturb(g, PerturbationSpec(method, level, seed), replace_mode=mode)
     expected, log = sequential_reference(g, method, level, seed, mode)
     assert edit_log_to_jsonl(pg.edit_log) == edit_log_to_jsonl(log)
-    expected_graph = KnowledgeGraph.from_triples(expected, extra_entities=g.entities)
+    expected_graph = KnowledgeGraph.from_triples(
+        expected, extra_entities=g.entities, extra_relations=orphan_labels(g)
+    )
     assert serialize(pg.graph) == serialize(expected_graph)
     assert_same_graph(pg.graph, expected_graph)
 
@@ -570,6 +591,13 @@ def test_replay_is_the_batch_rule_on_hand_written_logs(case):
     else:
         expected = KnowledgeGraph.from_triples((set(g.triples) - removed) | added, extra_entities=g.entities)
         assert_same_graph(replay_edit_log(g, log), expected)
+
+
+def test_replay_rejects_an_added_triple_with_an_empty_relation():
+    # The spliced triples skip from_triples' checks, so replay makes this one.
+    g = KnowledgeGraph.from_triples([("a", "r", "b")])
+    with pytest.raises(ValueError, match="^triple with empty field: Triple"):
+        replay_edit_log(g, [EditRecord("relation_replace", Triple("a", "r", "b"), Triple("a", "", "b"))])
 
 
 def test_replay_with_python_int_keys_matches(monkeypatch):

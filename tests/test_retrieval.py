@@ -651,9 +651,10 @@ def test_best_subtree_adds_child_gains_in_join_order():
     # first sum exactly, so node 0 tops the best subtree (smaller id) only
     # when the gains of its children 1 and 2 are added in the order they
     # joined the tree; in the other order node 3 would win alone.
-    t = Triple("a", "r", "b")
-    parent = {0: None, 1: (0, 0.0, t), 2: (0, 0.0, t), 3: (0, 1.0, t)}
-    assert _best_subtree(parent, [0.2, 0.1, 0.3, 0.2 + 0.1 + 0.3]) == {0, 1, 2}
+    # The tree is given as its join order and each position's link
+    # ``(parent position, cost, triple id)``.
+    order, links = [0, 1, 2, 3], [None, (0, 0.0, 0), (0, 0.0, 0), (0, 1.0, 0)]
+    assert set(_best_subtree(order, links, [0.2, 0.1, 0.3, 0.2 + 0.1 + 0.3])) == {0, 1, 2}
 
 
 # Reference PCST with the same rules written plainly: transformed-graph
@@ -856,3 +857,177 @@ def test_pcst_result_is_connected_scored_and_beats_any_single_element(
         for t in g.triples
     ]
     assert result.score >= max(singles)
+
+
+def pcst_counts(caplog):
+    """``(trees grown, trees stopped at the last carrier, nodes joined,
+    transformed-graph size)`` from the one DEBUG line of a PCST call."""
+    (record,) = [r for r in caplog.records if r.name == "kgr.retrieval"]
+    return record.args
+
+
+def assert_same_pcst(g, prizes):
+    got, want = retrieve_subgraph_pcst(g, prizes), tuple_keyed_pcst(g, prizes)
+    assert got.subgraph.entities == want.subgraph.entities
+    assert got.subgraph.triples == want.subgraph.triples
+    assert got.score.hex() == want.score.hex()
+
+
+def test_pcst_trees_stop_at_the_last_carrier_and_match_the_reference(caplog):
+    # The prize carriers sit in a small core next to the roots, and a long
+    # carrier-free tail hangs off the core: a tree that chases prizes has
+    # every carrier long before it could span the tail.
+    rng = random.Random(7331)
+    early = 0
+    for _ in range(300):
+        core = rng.randint(2, 6)
+        tail = rng.randint(10, 40)
+        names = [f"c{i}" for i in range(core)] + [f"t{i:02d}" for i in range(tail)]
+        # The core is connected: each core node hangs off an earlier one.
+        triples = {(f"c{rng.randrange(i)}", rng.choice(["r0", "r1"]), f"c{i}") for i in range(1, core)}
+        triples.update((f"c{i}", "r1", f"c{rng.randrange(core)}") for i in range(core))
+        for i in range(tail):  # each tail node hangs off the core or an earlier tail node
+            up = names[rng.randrange(core + i)]
+            triples.add((up, rng.choice(["r0", "r1"]), names[core + i]))
+        triples.update(
+            (rng.choice(names), "r1", rng.choice(names[core:])) for _ in range(rng.randint(0, tail // 2))
+        )
+        g = KnowledgeGraph.from_triples(triples, extra_entities=names)
+        cost = rng.choice([0.3, 0.5, 1.0, 2.0])
+        fractional = rng.random() < 0.5
+        value = (lambda: rng.random() * 3) if fractional else (lambda: float(rng.randint(1, 5)))
+        core_triples = [t for t in g.triples if t.subject in names[:core] and t.object in names[:core]]
+        prizes = prizes_of(
+            {v: value() for v in names[:core] if rng.random() < 0.8},
+            {t: value() for t in core_triples if rng.random() < 0.4},
+            cost=cost,
+        )
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kgr.retrieval"):
+            assert_same_pcst(g, prizes)
+        if not prizes.node_prizes and all(p <= cost for p in prizes.edge_prizes.values()):
+            continue  # no carrier, so no tree
+        grown, stopped, joined, size = pcst_counts(caplog)
+        assert stopped == grown  # one component holds every carrier
+        assert joined <= grown * size
+        early += joined < grown * size - tail
+    assert early > 250
+
+
+def test_pcst_roots_past_the_top_three_enter_the_components_they_miss(caplog):
+    # The top three carriers share one component; lower carriers spread
+    # over components no tree from the top three reaches.
+    rng = random.Random(7349)
+    for _ in range(200):
+        parts = rng.randint(3, 6)
+        triples, names, prized = set(), [], {}
+        for c in range(parts):
+            size = rng.randint(1, 6)
+            part = [f"p{c}n{i}" for i in range(size)]
+            names += part
+            # Connected: each node hangs off an earlier one, plus random extras.
+            triples.update((part[rng.randrange(i)], "r0", part[i]) for i in range(1, size))
+            triples.update(
+                (rng.choice(part), rng.choice(["r0", "r1"]), rng.choice(part)) for _ in range(rng.randint(0, size))
+            )
+            for v in part:
+                if rng.random() < 0.7:
+                    prized[v] = 10.0 + rng.random() if c == 0 else rng.random() * 5
+        g = KnowledgeGraph.from_triples(triples, extra_entities=names)
+        prizes = prizes_of(prized, cost=rng.choice([0.3, 1.0]))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kgr.retrieval"):
+            assert_same_pcst(g, prizes)
+        if not prized:
+            continue
+        grown, stopped, _, _ = pcst_counts(caplog)
+        elsewhere = {v.split("n")[0] for v in prized if not v.startswith("p0n")}
+        if elsewhere:  # carriers in several components: no tree holds them all
+            assert stopped == 0
+        if len([v for v in prized if v.startswith("p0n")]) >= 3:
+            assert grown == 2 * (3 + len(elsewhere))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_pcst_rejects_non_finite_prizes_and_costs(bad):
+    g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "r", "c")])
+    t = Triple("a", "r", "b")
+    for prizes in (
+        prizes_of({"a": bad, "b": 1.0}),
+        prizes_of({"a": 1.0}, {t: bad}),
+        prizes_of({"a": 1.0}, cost=bad),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            retrieve_subgraph_pcst(g, prizes)
+
+
+def test_pcst_with_huge_prizes_matches_the_reference():
+    # Prizes of 1e308 are finite, but a score with two of them overflows:
+    # then both the library and the reference raise the same error.  (With
+    # -1e308 prizes too, whether math.fsum overflows depends on the order of
+    # its terms, which for the reference's string sets is the hash order.)
+    rng = random.Random(7351)
+    outcomes = set()
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 10), rng.randint(0, 20), allow_self_loops=rng.random() < 0.5)
+        value = lambda: rng.choice([1e308, 0.0, rng.random() * 3])
+        prizes = prizes_of(
+            {v: value() for v in g.entity_order if rng.random() < 0.6},
+            {t: value() for t in g.triples if rng.random() < 0.4},
+            cost=rng.choice([0.5, 1.0]),
+        )
+        try:
+            want = tuple_keyed_pcst(g, prizes)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                retrieve_subgraph_pcst(g, prizes)
+            outcomes.add("overflow")
+            continue
+        got = retrieve_subgraph_pcst(g, prizes)
+        assert (got.subgraph.entities, got.subgraph.triples) == (want.subgraph.entities, want.subgraph.triples)
+        assert got.score.hex() == want.score.hex()
+        outcomes.add("huge" if abs(got.score) > 1e300 else "small")
+    assert outcomes == {"overflow", "huge", "small"}
+
+
+PCST_SCRIPT = """
+import hashlib, random
+from kgr import KnowledgeGraph, PrizeAssignment, retrieve_subgraph_pcst
+rng = random.Random(7393)
+digest = hashlib.sha256()
+for _ in range(300):
+    names = [f"e{i}" for i in range(rng.randint(2, 30))]
+    triples = {(rng.choice(names), rng.choice("rst"), rng.choice(names)) for _ in range(rng.randint(1, 60))}
+    g = KnowledgeGraph.from_triples(triples, extra_entities=names)
+    value = lambda: rng.choice([1e308, rng.random() * 3, rng.random() * 3])
+    prizes = PrizeAssignment(
+        {v: value() for v in names if rng.random() < 0.5},
+        {t: value() for t in g.triples if rng.random() < 0.3},
+        edge_cost=rng.choice([0.3, 0.7, 1.0]),
+    )
+    try:
+        result = retrieve_subgraph_pcst(g, prizes)
+        digest.update(repr((result.subgraph.entity_order, result.subgraph.triples, result.score.hex())).encode())
+    except OverflowError:
+        digest.update(b"overflow")
+print(digest.hexdigest())
+"""
+
+
+def test_pcst_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import kgr
+
+    src = str(Path(kgr.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", PCST_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for hash_seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 65

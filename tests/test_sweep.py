@@ -219,3 +219,28 @@ def test_a_pure_sweep_ranks_the_baseline_and_changed_cells_only(graph, monkeypat
     calls.clear()
     records, _, _ = grid(graph, provider=Unmemoized(), **FULL_GRID)
     assert len(calls) == len(QUERIES) * len(records)  # the baseline and every cell
+
+
+def test_unchanged_cells_reuse_one_compare_report(graph, monkeypatch):
+    # The orphan label counts in the relation-averaged vectors, so a report
+    # reused for unchanged cells is right only if perturbed graphs keep it.
+    g = KnowledgeGraph.from_triples(graph.triples, extra_entities=graph.entities, extra_relations=["orphan"])
+    calls = []
+    measure = kgr.sweep.compare
+
+    def counted(g, g_prime, scorer):
+        calls.append(g_prime)
+        return measure(g, g_prime, scorer)
+
+    monkeypatch.setattr(kgr.sweep, "compare", counted)
+    records, _, _ = grid(g, **FULL_GRID)
+    unchanged = unchanged_cells(g, records)
+    assert unchanged >= 4
+    assert len(calls) == len(records) - 1 - unchanged + 1
+    scorer = fit_baseline_scorer(g)
+    for cell in records[1:]:
+        damaged = perturb(g, PerturbationSpec(cell["method"], cell["level"], cell["seed"])).graph
+        report = measure(g, damaged, scorer)
+        assert (cell["ats"], cell["sc2d"], cell["sd2"]) == (report.ats, report.sc2d, report.sd2)
+        if damaged == g:
+            assert (report.ats, report.sc2d, report.sd2) == (1.0, 1.0, 1.0)
