@@ -16,60 +16,134 @@ set; the L2 distance d between the two means is mapped through
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Protocol
+from itertools import count, repeat
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, _keys
 
 
 class EdgeScorer(Protocol):
-    """Anything that can judge the plausibility of a directed triple."""
+    """Anything that can judge the plausibility of directed triples."""
 
-    def score(self, subject: str, relation: str, object_id: str) -> float: ...
+    def score_ids(
+        self, entities: Sequence[str], relations: Sequence[str], subjects, relation_ids, objects
+    ) -> np.ndarray:
+        """Float64 score of each triple ``(entities[subjects[i]],
+        relations[relation_ids[i]], entities[objects[i]])``."""
+        ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaselineEdgeScorer:
     """Relation-frequency scorer fitted on one graph.
 
     A triple present in the graph scores 1.  Otherwise the score is the
     mean of two frequencies: how often the relation labels the subject's
     out-edges and how often it labels the object's in-edges.  Entities
-    without out-/in-edges contribute 0 to the respective half.
+    without out-/in-edges, and entities or relations the graph lacks,
+    contribute 0 to the respective half.
+
+    The tables are sorted integer keys over the fitted graph's ids (its
+    entity order and sorted relations): the triples' keys (see
+    :func:`kgr.graph._keys`) and, for the two frequencies, keys
+    ``s * |R| + r`` and ``o * |R| + r`` each with its ``count / degree``.
     """
 
-    triples: frozenset
-    out_freq: dict
-    in_freq: dict
+    entities: tuple[str, ...]
+    entity_index: dict[str, int]
+    relation_index: dict[str, int]
+    triple_keys: np.ndarray
+    out_keys: np.ndarray
+    out_freq: np.ndarray
+    in_keys: np.ndarray
+    in_freq: np.ndarray
 
     def score(self, subject: str, relation: str, object_id: str) -> float:
-        if (subject, relation, object_id) in self.triples:
-            return 1.0
-        return 0.5 * (
-            self.out_freq.get((subject, relation), 0.0)
-            + self.in_freq.get((object_id, relation), 0.0)
-        )
+        return float(self.score_ids((subject, object_id), (relation,), [0], [0], [1])[0])
+
+    def score_ids(
+        self, entities: Sequence[str], relations: Sequence[str], subjects, relation_ids, objects
+    ) -> np.ndarray:
+        """Score id triples whose ids index the name tables ``entities`` and
+        ``relations``.
+
+        The tables are mapped to the fitted graph's ids with one lookup per
+        name (none when ``entities`` is the fitted entity order); a name the
+        scorer does not know contributes 0.  Present triples are found by
+        their keys, and only the absent ones look up frequencies.
+        """
+        relation_ids = _lookup_ids(self.relation_index, relations)[np.asarray(relation_ids, dtype=np.intp)]
+        subjects, objects = np.asarray(subjects, dtype=np.intp), np.asarray(objects, dtype=np.intp)
+        if entities is not self.entities:
+            entity_map = _lookup_ids(self.entity_index, entities)
+            subjects, objects = entity_map[subjects], entity_map[objects]
+        n, k = len(self.entities), len(self.relation_index)
+        scores = np.ones(len(relation_ids), dtype=np.float64)
+        absent = ~_contains(self.triple_keys, _keys(n, k, subjects, relation_ids, objects))
+        subjects, relation_ids, objects = subjects[absent], relation_ids[absent], objects[absent]
+        out_part = _frequency(self.out_keys, self.out_freq, subjects, relation_ids, k)
+        in_part = _frequency(self.in_keys, self.in_freq, objects, relation_ids, k)
+        scores[absent] = 0.5 * (out_part + in_part)
+        return scores
+
+
+def _lookup_ids(index: dict[str, int], names: Sequence[str]) -> np.ndarray:
+    """Each name's id in ``index``, -1 for a name it lacks."""
+    return np.fromiter(map(index.get, names, repeat(-1)), np.intp, len(names))
+
+
+def _place(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Where each key is or would be in the non-empty sorted array, clipped
+    to its last position."""
+    return np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key is in the non-empty sorted array."""
+    return sorted_keys[_place(sorted_keys, keys)] == keys
+
+
+def _frequency(
+    sorted_keys: np.ndarray, freq: np.ndarray, ends: np.ndarray, relation_ids: np.ndarray, k: int
+) -> np.ndarray:
+    """``freq`` at the key ``end * k + r`` of each pair, 0 for a pair the
+    table lacks or with an id of -1."""
+    keys = np.where((ends < 0) | (relation_ids < 0), -1, ends * k + relation_ids)
+    at = _place(sorted_keys, keys)
+    return np.where(sorted_keys[at] == keys, freq[at], 0.0)
+
+
+def _frequency_table(ends: np.ndarray, relation_ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys ``end * k + r`` with, for each, the share of ``end``'s
+    triples that relation r labels (count / degree, in float64 as
+    Python's int / int gives it)."""
+    keys = np.sort(ends * k + relation_ids)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    unique = keys[starts]
+    freq = counts / np.bincount(ends)[unique // k]
+    unique.flags.writeable = freq.flags.writeable = False
+    return unique, freq
 
 
 def fit_baseline_scorer(g: KnowledgeGraph) -> BaselineEdgeScorer:
     """Fit the frequency scorer; a graph without triples is rejected."""
     if not g.triples:
         raise ValueError("cannot fit an edge scorer on a graph without triples")
-    # Counter values are Python ints, so every frequency is a Python float.
-    out_counts = Counter(map(itemgetter(0, 1), g.triples))
-    in_counts = Counter(map(itemgetter(2, 1), g.triples))
-    out_degree = Counter(map(itemgetter(0), g.triples))
-    in_degree = Counter(map(itemgetter(2), g.triples))
-    out_freq = {key: count / out_degree[key[0]] for key, count in out_counts.items()}
-    in_freq = {key: count / in_degree[key[0]] for key, count in in_counts.items()}
+    n, k = len(g.entities), len(g.relations)
+    subjects, objects = g.endpoint_ids
+    triple_keys = _keys(n, k, subjects, g.relation_ids, objects)  # sorted, as the triples are
+    triple_keys.flags.writeable = False
     return BaselineEdgeScorer(
-        triples=frozenset((t.subject, t.relation, t.object) for t in g.triples),
-        out_freq=out_freq,
-        in_freq=in_freq,
+        g.entity_order,
+        g.entity_index,
+        dict(zip(sorted(g.relations), count())),
+        triple_keys,
+        *_frequency_table(subjects, g.relation_ids, k),
+        *_frequency_table(objects, g.relation_ids, k),
     )
 
 
@@ -77,14 +151,18 @@ def ats(g: KnowledgeGraph, g_prime: KnowledgeGraph, scorer: EdgeScorer | None = 
     """Mean plausibility of ``g_prime``'s triples under a scorer for ``g``.
 
     Defaults to the baseline frequency scorer fitted on ``g``.  An empty
-    perturbed graph scores 0.
+    perturbed graph scores 0.  The scores are summed left to right in
+    triple order.
     """
     if scorer is None:
         scorer = fit_baseline_scorer(g)
     if not g_prime.triples:
         return 0.0
-    total = sum(scorer.score(t.subject, t.relation, t.object) for t in g_prime.triples)
-    return total / len(g_prime.triples)
+    subjects, objects = g_prime.endpoint_ids
+    scores = scorer.score_ids(
+        g_prime.entity_order, sorted(g_prime.relations), subjects, g_prime.relation_ids, objects
+    )
+    return float(np.add.accumulate(scores)[-1]) / len(g_prime.triples)
 
 
 def distance_to_similarity(d: float) -> float:
@@ -93,7 +171,7 @@ def distance_to_similarity(d: float) -> float:
 
 
 def _require_same_entities(g: KnowledgeGraph, g_prime: KnowledgeGraph) -> None:
-    if g.entities != g_prime.entities:
+    if g_prime.entities is not g.entities and g.entities != g_prime.entities:
         raise ValueError("graphs must share the same entity set")
 
 

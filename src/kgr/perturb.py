@@ -11,10 +11,15 @@ Four heuristics, each parameterized by a level rho in [0, 1] and a seed:
 * ``edge_delete``      -- chosen edges are removed outright.
 
 Edges are chosen by deterministically shuffling the canonical triple
-order with the given seed, once per call that has an edge to edit, so
-equal inputs give equal outputs.  Replace and rewire share one loop: the
-first candidate not yet in the working triple set replaces the edge, and
-an edge with no candidate left is logged as skipped.  The entity set is
+order with the given seed, so equal inputs give equal outputs.  The
+order depends only on the triples and the seed: it is drawn once per
+graph and seed and shared by every method and level, and a call with no
+edge to edit skips it.  Replace and rewire share one loop: the first
+candidate not present after the edits so far replaces the edge, and an
+edge with no candidate left is logged as skipped.  The edits are kept as
+the triples removed and added, and whether a candidate is one of the
+graph's triples is found by integer key for a batch at once, so a call's
+Python work follows its edits, not the graph's size.  The entity set is
 never changed and every edit is logged; the perturbed graph is built by
 replaying that log against the original graph (:func:`replay_edit_log`),
 so a logged run reproduces its graph exactly.
@@ -26,12 +31,13 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Sequence
 
-from .graph import KnowledgeGraph, Triple
+import numpy as np
+
+from .graph import KnowledgeGraph, Triple, _gather, _keys
 from .ingest import json_triple, jsonl_line, jsonl_records
-from .metrics import fit_baseline_scorer
+from .metrics import _contains, fit_baseline_scorer
 
 METHOD_RELATION_SWAP = "relation_swap"
 METHOD_RELATION_REPLACE = "relation_replace"
@@ -112,34 +118,88 @@ class PerturbedGraph:
         return sum(rec.skipped for rec in self.edit_log)
 
 
-def _relation_swap(shuffled: list[Triple], level: float, current: set[Triple]) -> list[EditRecord]:
-    n_pairs = min(round_half_up(level * len(shuffled) / 2.0), len(shuffled) // 2)
+class _EditedTriples:
+    """A graph's triples T after some edits, ``(T - removed) | added``.
+
+    :meth:`has` is told whether the triple is in T, found by key for a
+    batch beforehand (:func:`_in_graph`).  A target is removed once, while
+    present, and no addition is a present triple, so the two sets agree
+    with editing a copy of T in place.
+    """
+
+    def __init__(self) -> None:
+        self.removed: set[Triple] = set()
+        self.added: set[Triple] = set()
+
+    def has(self, t: Triple, in_graph: bool) -> bool:
+        return t in self.added or (in_graph and t not in self.removed)
+
+    def replace(self, old: Triple, new: Triple) -> None:
+        self.removed.add(old)
+        self.added.add(new)
+
+
+def _in_graph(g: KnowledgeGraph, subjects, relation_ids, objects) -> list[bool]:
+    """Whether each id triple, with ids as in ``g``'s id arrays, is one of
+    the triples of ``g``, which must have some."""
+    n, k = len(g.entities), len(g.relations)
+    own = _keys(n, k, g.endpoint_ids[0], g.relation_ids, g.endpoint_ids[1])
+    return _contains(own, _keys(n, k, subjects, relation_ids, objects)).tolist()
+
+
+def _relation_swap(g: KnowledgeGraph, picked: np.ndarray, pairs: list[Triple]) -> list[EditRecord]:
+    """Swap the relations of ``pairs[2i]`` and ``pairs[2i + 1]``, the
+    triples at ``picked[2i]`` and ``picked[2i + 1]``, for each i."""
+    (subjects, objects), relation_ids = g.endpoint_ids, g.relation_ids[picked]
+    s, o = subjects[picked], objects[picked]
+    # f1 takes e2's relation and f2 takes e1's.
+    f1_in = _in_graph(g, s[0::2], relation_ids[1::2], o[0::2])
+    f2_in = _in_graph(g, s[1::2], relation_ids[0::2], o[1::2])
+    edited = _EditedTriples()
     log: list[EditRecord] = []
-    for i in range(n_pairs):
-        e1, e2 = shuffled[2 * i], shuffled[2 * i + 1]
+    for e1, e2, f1_in_g, f2_in_g in zip(pairs[0::2], pairs[1::2], f1_in, f2_in):
         f1 = Triple(e1.subject, e2.relation, e1.object)
         f2 = Triple(e2.subject, e1.relation, e2.object)
-        # e1 and e2 are still in ``current`` (pairs are disjoint) and
-        # f1 != f2, so the swap keeps the triple count unless an f hits a
-        # third triple.  A parallel pair (f1 == e2, f2 == e1) swaps onto itself.
-        if any(f in current and f != e1 and f != e2 for f in (f1, f2)):
+        # e1 and e2 are still present (pairs are disjoint) and f1 != f2, so
+        # the swap keeps the triple count unless an f hits a third triple.
+        # A parallel pair (f1 == e2, f2 == e1) swaps onto itself.
+        swapped = ((f1, f1_in_g), (f2, f2_in_g))
+        if any(edited.has(f, in_g) and f != e1 and f != e2 for f, in_g in swapped):
             # The swap would collide with an existing triple and silently
             # shrink the graph; leave the pair untouched instead.
             log.append(EditRecord(METHOD_RELATION_SWAP + _SKIP_SUFFIX, e1, e1))
             log.append(EditRecord(METHOD_RELATION_SWAP + _SKIP_SUFFIX, e2, e2))
             continue
-        current.difference_update((e1, e2))
-        current.update((f1, f2))
+        edited.replace(e1, f1)
+        edited.replace(e2, f2)
         log.append(EditRecord(METHOD_RELATION_SWAP, e1, f1))
         log.append(EditRecord(METHOD_RELATION_SWAP, e2, f2))
     return log
 
 
-def _relation_candidates(relations: list[str], scorer, sign: float, e: Triple) -> Iterator[Triple]:
-    """``e`` with each other relation, least plausible first (``sign`` 1)
-    or most plausible first (``sign`` -1); ties break on the relation."""
-    ranked = sorted((sign * scorer.score(e.subject, r, e.object), r) for r in relations if r != e.relation)
-    return (Triple(e.subject, r, e.object) for _, r in ranked)
+def _relation_options(
+    g: KnowledgeGraph, scorer, sign: float, picked: np.ndarray, targets: list[Triple]
+) -> Iterator[Iterator[tuple[Triple, bool]]]:
+    """For each target (the triple at the same place in ``picked``), the
+    target with each other relation, least plausible first (``sign`` 1) or
+    most plausible first (``sign`` -1), and whether that triple is in ``g``.
+
+    All targets and relations are scored in one batch.  Relation ids follow
+    name order and the sort is stable, so ties break on the relation as
+    they do in ``sorted``; each row is walked lazily.
+    """
+    relations, k = sorted(g.relations), len(g.relations)
+    subjects, objects = (np.repeat(ids[picked], k) for ids in g.endpoint_ids)
+    relation_ids = np.tile(np.arange(k), len(picked))
+    scores = scorer.score_ids(g.entity_order, relations, subjects, relation_ids, objects)
+    ranked = np.argsort(sign * scores.reshape(-1, k), axis=1, kind="stable")
+    present = _in_graph(g, subjects, relation_ids, objects)
+    for i, (e, own, row) in enumerate(zip(targets, g.relation_ids[picked].tolist(), ranked)):
+        yield (
+            (Triple(e.subject, relations[r], e.object), present[i * k + r])
+            for r in row.tolist()
+            if r != own
+        )
 
 
 def _rewire_candidates(g: KnowledgeGraph, rng: random.Random, e: Triple) -> Iterator[Triple]:
@@ -168,21 +228,45 @@ def _rewire_candidates(g: KnowledgeGraph, rng: random.Random, e: Triple) -> Iter
 
 
 def _replace_each(
-    method: str, targets: list[Triple], current: set[Triple], candidates
+    method: str, targets: list[Triple], candidates: Iterable[Iterator[tuple[Triple, bool]]]
 ) -> list[EditRecord]:
-    """Replace each target, in order, by its first candidate that is not
-    in ``current``, and update ``current``; a target with none left is
-    logged as skipped."""
+    """Replace each target, in order, by the first of its candidates (the
+    iterator at the same place in ``candidates``, each candidate with
+    whether it is in the original graph) that is not present after the
+    edits so far; a target with none left is logged as skipped."""
+    edited = _EditedTriples()
     log: list[EditRecord] = []
-    for e in targets:
-        replacement = next((c for c in candidates(e) if c not in current), None)
+    for e, options in zip(targets, candidates):
+        replacement = next((c for c, in_g in options if not edited.has(c, in_g)), None)
         if replacement is None:
             log.append(EditRecord(method + _SKIP_SUFFIX, e, e))
             continue
-        current.discard(e)
-        current.add(replacement)
+        edited.replace(e, replacement)
         log.append(EditRecord(method, e, replacement))
     return log
+
+
+def _edit_order(g: KnowledgeGraph, seed) -> tuple[np.ndarray, tuple, bool]:
+    """The positions of ``g.triples`` shuffled by ``random.Random(seed)``,
+    the generator's state after the shuffle, and whether both came from
+    the graph's memo.
+
+    The shuffle depends only on the triples and the seed, so one order
+    serves every method and level.  For an ``int`` seed it is kept in a
+    dict in ``vars(g)``, as ``cached_property`` keeps its values, which
+    leaves ``==`` and ``hash`` alone: |T| positions (8 bytes each) and
+    one generator state per seed, freed with the graph.
+    """
+    memo = vars(g).setdefault("_edit_orders", {}) if type(seed) is int else {}
+    reused = seed in memo
+    if not reused:
+        rng = random.Random(seed)
+        order = list(range(len(g.triples)))
+        rng.shuffle(order)
+        positions = np.fromiter(order, np.intp, len(order))
+        positions.flags.writeable = False
+        memo[seed] = positions, rng.getstate()
+    return (*memo[seed], reused)
 
 
 def perturb(
@@ -199,33 +283,47 @@ def perturb(
     when there is an edge to replace.  The returned graph keeps the original
     entity set; all edits (and skips, e.g. when a rewire target pool is
     empty) are recorded in application order, and the graph is the log
-    replayed on ``g``.
+    replayed on ``g``.  A DEBUG line counts the targets and the applied and
+    skipped edits, and says whether the edit order was drawn or reused.
     """
     if replace_mode not in REPLACE_MODES:
         raise ValueError(f"unknown replace mode {replace_mode!r}")
-    count = round_half_up(spec.level * len(g.triples))
+    n = len(g.triples)
+    if spec.method == METHOD_RELATION_SWAP:  # disjoint pairs from the front of the order
+        count = 2 * min(round_half_up(spec.level * n / 2.0), n // 2)
+    else:
+        count = round_half_up(spec.level * n)
     if not count:
         # Every method's log is empty and nothing would read the generator,
         # so the shuffle is skipped.
-        return PerturbedGraph(graph=replay_edit_log(g, ()), edit_log=())
-    rng = random.Random(spec.seed)
-    shuffled = list(g.triples)
-    rng.shuffle(shuffled)
-    targets = shuffled[:count]
-    # The working triple set; only the methods that add triples read it.
-    current = set(g.triples) if spec.method != METHOD_EDGE_DELETE else None
-    if spec.method == METHOD_RELATION_SWAP:
-        log = _relation_swap(shuffled, spec.level, current)
-    elif spec.method == METHOD_EDGE_DELETE:
-        log = [EditRecord(METHOD_EDGE_DELETE, e, None) for e in targets]
-    elif spec.method == METHOD_EDGE_REWIRE:
-        log = _replace_each(spec.method, targets, current, partial(_rewire_candidates, g, rng))
+        log, source = [], "not needed"
     else:
-        if targets and scorer is None:
-            scorer = fit_baseline_scorer(g)
-        sign = 1.0 if replace_mode == REPLACE_LEAST_PLAUSIBLE else -1.0
-        candidates = partial(_relation_candidates, sorted(g.relations), scorer, sign)
-        log = _replace_each(spec.method, targets, current, candidates)
+        order, state, reused = _edit_order(g, spec.seed)
+        source = "reused" if reused else "drawn"
+        picked = order[:count]
+        targets = list(_gather(g.triples, picked))
+        if spec.method == METHOD_RELATION_SWAP:
+            log = _relation_swap(g, picked, targets)
+        elif spec.method == METHOD_EDGE_DELETE:
+            log = [EditRecord(METHOD_EDGE_DELETE, e, None) for e in targets]
+        elif spec.method == METHOD_EDGE_REWIRE:
+            rng = random.Random()
+            rng.setstate(state)  # where the shuffle left the generator
+            # A rewired triple's object is not a neighbour of its subject in
+            # ``g``, so no candidate is one of ``g``'s triples.
+            candidates = (((c, False) for c in _rewire_candidates(g, rng, e)) for e in targets)
+            log = _replace_each(spec.method, targets, candidates)
+        else:
+            if scorer is None:
+                scorer = fit_baseline_scorer(g)
+            sign = 1.0 if replace_mode == REPLACE_LEAST_PLAUSIBLE else -1.0
+            log = _replace_each(spec.method, targets, _relation_options(g, scorer, sign, picked, targets))
+    if logger.isEnabledFor(logging.DEBUG):
+        skipped = sum(rec.skipped for rec in log)
+        logger.debug(
+            "perturb %s level=%s seed=%s: %d targets, %d edits applied, %d skipped; edit order %s",
+            spec.method, spec.level, spec.seed, count, len(log) - skipped, skipped, source,
+        )
     return PerturbedGraph(graph=replay_edit_log(g, log), edit_log=tuple(log))
 
 
@@ -245,8 +343,9 @@ def replay_edit_log(g: KnowledgeGraph, edit_log: Sequence[EditRecord]) -> Knowle
     up by string.  A DEBUG line counts the triples removed, added,
     and dropped because they were already present.
     """
-    removed = list({rec.before for rec in edit_log if not rec.skipped})
-    added = sorted({rec.after for rec in edit_log if not rec.skipped and rec.after is not None})
+    applied = [rec for rec in edit_log if not rec.skipped]
+    removed = list({rec.before for rec in applied})
+    added = sorted({rec.after for rec in applied if rec.after is not None})
     at = g._locate(removed)
     if not {t for t, i in zip(removed, at.tolist()) if i < 0}.issubset(added):
         raise ValueError("edit log removes a triple that is not in the graph")

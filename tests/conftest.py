@@ -1,13 +1,17 @@
 """Shared test helpers: seeded random graphs, a graph layout check,
 string-keyed adjacency helpers for reference code, a per-node clustering
-reference and a local mock HTTP server."""
+reference, a string-keyed edge scorer reference and a local mock HTTP
+server."""
 
 from __future__ import annotations
 
 import json
 import random
 import threading
+from collections import Counter
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -114,6 +118,39 @@ def local_clustering(g: KnowledgeGraph, entity: str) -> float:
             if w in u_adj:
                 tri += 1
     return 2.0 * tri / (deg * (deg - 1))
+
+
+@dataclass(frozen=True)
+class DictEdgeScorer:
+    """Reference for the library's baseline scorer, keyed by strings: a
+    present triple scores 1, any other the mean of its subject's share of
+    out-edges and its object's share of in-edges with that relation
+    (``dict.get`` gives 0 for a pair the graph lacks)."""
+
+    triples: frozenset
+    out_freq: dict
+    in_freq: dict
+
+    def score(self, subject: str, relation: str, object_id: str) -> float:
+        if (subject, relation, object_id) in self.triples:
+            return 1.0
+        return 0.5 * (
+            self.out_freq.get((subject, relation), 0.0)
+            + self.in_freq.get((object_id, relation), 0.0)
+        )
+
+
+def fit_dict_scorer(g: KnowledgeGraph) -> DictEdgeScorer:
+    """The reference scorer fitted on ``g``, with Python int / int frequencies."""
+    out_counts = Counter(map(itemgetter(0, 1), g.triples))
+    in_counts = Counter(map(itemgetter(2, 1), g.triples))
+    out_degree = Counter(map(itemgetter(0), g.triples))
+    in_degree = Counter(map(itemgetter(2), g.triples))
+    return DictEdgeScorer(
+        triples=frozenset((t.subject, t.relation, t.object) for t in g.triples),
+        out_freq={key: c / out_degree[key[0]] for key, c in out_counts.items()},
+        in_freq={key: c / in_degree[key[0]] for key, c in in_counts.items()},
+    )
 
 
 class _MockHandler(BaseHTTPRequestHandler):

@@ -283,6 +283,45 @@ class TestRetrieve:
 
 
 class TestPerturb:
+    def test_perturb_and_measure_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Every method, with orphan labels and isolated entities; each run
+        # writes the damaged graph, its edit log and the measure report.
+        g = random_graph(random.Random(4244), 40, 160, n_relations=6)
+        g = kgr.KnowledgeGraph.from_triples(
+            g.triples, extra_entities=[*g.entities, "zz"], extra_relations=["r9"]
+        )
+        graph = tmp_path / "graph.tsv"
+        graph.write_text(serialize(g), encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from kgr.cli import main\n"
+            "graph, out = sys.argv[1:]\n"
+            "for method in ('rs', 'rr', 'er', 'ed'):\n"
+            "    spec = ['--method', method, '--level', '0.3', '--seed', '5']\n"
+            "    verbose = ['-v'] if method == 'rr' else []\n"
+            "    assert main([*verbose, 'perturb', '--graph', graph, *spec, '--out', f'{out}/{method}.tsv',\n"
+            "                 '--edit-log', f'{out}/{method}.jsonl']) == 0\n"
+            "    assert main(['measure', '--graph', graph, '--perturbed', f'{out}/{method}.tsv']) == 0\n"
+        )
+        src = str(Path(kgr.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"out-{hash_seed}"
+            out.mkdir()
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(graph), str(out)],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                capture_output=True,
+                check=True,
+                text=True,
+                timeout=120,
+            )
+            assert "perturb relation_replace level=0.3 seed=5: 48 targets" in run.stderr
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            assert len(files) == 8
+            outputs.append((run.stdout, files))
+        assert outputs[0] == outputs[1]
+
     def test_writes_graph_and_edit_log(self, graph_file, tmp_path):
         path, g = graph_file
         out = tmp_path / "perturbed.tsv"

@@ -20,7 +20,7 @@ from kgr.metrics import (
     sd2,
 )
 from kgr.perturb import METHODS, PerturbationSpec, perturb
-from conftest import local_clustering, random_graph
+from conftest import fit_dict_scorer, local_clustering, random_graph
 
 
 def test_distance_to_similarity_anchors():
@@ -48,6 +48,71 @@ def test_baseline_scorer_frequencies():
     # Absent (a, hates, b): out 1/3, in 0.
     assert scorer.score("a", "hates", "b") == pytest.approx(0.5 * (1 / 3))
     assert scorer.score("nobody", "likes", "nothing") == 0.0
+
+
+NAMES = ["a", "b", "c", "d", "x"]
+LABELS = ["r0", "r1", "r2", "r9"]
+
+
+@st.composite
+def graph_over(draw, names, labels):
+    """A small graph over the given names and labels, maybe with isolated
+    entities and orphan labels (labels without a triple)."""
+    triple = st.tuples(st.sampled_from(names), st.sampled_from(labels), st.sampled_from(names))
+    triples = draw(st.lists(triple, max_size=25))
+    return KnowledgeGraph.from_triples(
+        triples,
+        extra_entities=draw(st.lists(st.sampled_from(names), max_size=2)),
+        extra_relations=draw(st.lists(st.sampled_from(labels), max_size=2)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fitted=graph_over(NAMES[:4], LABELS[:3]).filter(lambda g: g.triples),
+    other=graph_over(NAMES, LABELS),
+)
+def test_batch_scores_equal_the_dict_reference(fitted, other):
+    # ``other`` may name entities (x) and relations (r9) the fitted graph
+    # lacks, and either graph may carry orphan labels.  Every id triple over
+    # each graph's name tables is scored, in one batch and one at a time;
+    # the fitted graph's own entity order is used without a lookup.
+    scorer, reference = fit_baseline_scorer(fitted), fit_dict_scorer(fitted)
+    for g in (fitted, other):
+        entities, relations = g.entity_order, sorted(g.relations)
+        s, r, o = (grid.ravel() for grid in np.indices((len(entities), len(relations), len(entities))))
+        batch = scorer.score_ids(entities, relations, s, r, o)
+        expected = [reference.score(entities[i], relations[j], entities[m]) for i, j, m in zip(s, r, o)]
+        assert batch.dtype == np.float64
+        assert batch.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        for t in g.triples:
+            one = scorer.score(*t)
+            assert type(one) is float and one == reference.score(*t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 40_000),
+    foreign=st.floats(0.0, 1.0),
+)
+def test_ats_is_a_left_to_right_sum_of_reference_scores(seed, size, foreign):
+    # ``foreign`` is the share of the second graph's triples that are new
+    # to the first; the rest are the first graph's own, scoring 1.
+    rng = random.Random(seed)
+    n, k = max(2, size // 4), 8
+
+    def draw(count):
+        return [(f"e{rng.randrange(n)}", f"r{rng.randrange(k)}", f"e{rng.randrange(n)}") for _ in range(count)]
+
+    g = KnowledgeGraph.from_triples(draw(size), extra_entities=[f"e{i}" for i in range(n)])
+    kept = [t for t in g.triples if rng.random() >= foreign]
+    g_prime = KnowledgeGraph.from_triples(kept + draw(len(g.triples) - len(kept)), extra_entities=g.entities)
+    reference = fit_dict_scorer(g)
+    total = 0.0
+    for t in g_prime.triples:  # what ``sum`` does for floats before Python 3.12
+        total += reference.score(*t)
+    assert ats(g, g_prime).hex() == (total / len(g_prime.triples)).hex()
 
 
 def test_fit_rejects_empty_graph():

@@ -27,7 +27,7 @@ from kgr.perturb import (
     replay_edit_log,
     round_half_up,
 )
-from conftest import assert_same_graph, neighbor_sets, orphan_labels, random_graph
+from conftest import assert_same_graph, fit_dict_scorer, neighbor_sets, orphan_labels, random_graph
 
 LEVELS = (0.0, 0.1, 0.5, 1.0)
 
@@ -221,7 +221,7 @@ def test_edge_rewire_skips_when_the_small_pool_is_used_up():
 
 def test_relation_replace_follows_scorer_ranking():
     g = fixture_graph(seed=400, nodes=10, edges=20)
-    scorer = fit_baseline_scorer(g)
+    scorer, reference = fit_baseline_scorer(g), fit_dict_scorer(g)
     for mode in ("least_plausible", "most_plausible"):
         result = perturb(
             g, PerturbationSpec("rr", 1.0, 31), scorer=scorer, replace_mode=mode
@@ -231,7 +231,7 @@ def test_relation_replace_follows_scorer_ranking():
             e = rec.before
             sign = 1.0 if mode == "least_plausible" else -1.0
             ranked = sorted(
-                (sign * scorer.score(e.subject, r, e.object), r)
+                (sign * reference.score(e.subject, r, e.object), r)
                 for r in sorted(g.relations)
                 if r != e.relation
             )
@@ -429,13 +429,13 @@ def test_relation_swap_collision_rule_is_unchanged(triples, level, seed):
 
 def string_set_relation_replace(g, level, seed, mode):
     """Triples and edit log of the replace rule, one target at a time: rank
-    the other relations by the baseline scorer, take the first that does
-    not collide."""
+    the other relations by the string-keyed reference scorer with
+    ``sorted``, take the first that does not collide."""
     rng = random.Random(seed)
     shuffled = list(g.triples)
     rng.shuffle(shuffled)
     targets = shuffled[: round_half_up(level * len(shuffled))]
-    scorer = fit_baseline_scorer(g) if targets else None
+    scorer = fit_dict_scorer(g) if targets else None
     current, log = set(g.triples), []
     for e in targets:
         ranked = sorted(
@@ -505,6 +505,65 @@ def test_every_method_matches_its_sequential_reference(triples, lonely, orphans,
     )
     assert serialize(pg.graph) == serialize(expected_graph)
     assert_same_graph(pg.graph, expected_graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(st.sampled_from("abcd"), st.sampled_from(["r1", "r2", "r3", "r4", "r5"]), st.sampled_from("abcd")),
+        max_size=40,
+    ),
+    orphans=st.lists(st.sampled_from(["r0", "r6"]), max_size=2),
+    mode=st.sampled_from(REPLACE_MODES),
+    level=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relation_replace_matches_a_per_target_sorted_reference(triples, orphans, mode, level, seed):
+    # Five labels over four entities: scores tie often and candidates
+    # collide with present triples, so both the tie rule and the walk past
+    # present candidates are exercised.
+    g = KnowledgeGraph.from_triples(triples, extra_relations=orphans)
+    pg = perturb(g, PerturbationSpec("rr", level, seed), replace_mode=mode)
+    expected, log = string_set_relation_replace(g, level, seed, mode)
+    assert edit_log_to_jsonl(pg.edit_log) == edit_log_to_jsonl(log)
+    assert set(pg.graph.triples) == expected
+
+
+def test_a_warm_edit_order_gives_what_a_fresh_graph_gives():
+    # One graph serves every call, so later calls reuse the edit order its
+    # seed drew first; each is checked against a fresh equal graph, whose
+    # order is drawn anew.  Seeds interleave, and rewire keeps drawing from
+    # the generator state stored with the order.
+    g = fixture_graph(seed=808, nodes=30, edges=90)
+    warm = KnowledgeGraph.from_triples(g.triples, extra_entities=g.entities)
+    for level in (0.1, 0.5, 1.0):
+        for seed in (3, 11, 3, 2**40):
+            for method in METHODS:
+                spec = PerturbationSpec(method, level, seed)
+                fresh = KnowledgeGraph.from_triples(g.triples, extra_entities=g.entities)
+                reused, drawn = perturb(warm, spec), perturb(fresh, spec)
+                assert edit_log_to_jsonl(reused.edit_log) == edit_log_to_jsonl(drawn.edit_log)
+                assert_same_graph(reused.graph, drawn.graph)
+    # The memo leaves equality and hashing alone.
+    assert warm == g and hash(warm) == hash(g)
+
+
+def test_perturb_logs_one_debug_line_per_call(caplog):
+    g = fixture_graph()  # 24 triples
+    calls = [("rr", 0.5, 9), ("er", 0.25, 9), ("rs", 0.25, 4), ("ed", 0.0, 9)]
+    with caplog.at_level(logging.DEBUG, logger="kgr.perturb"):
+        results = [perturb(g, PerturbationSpec(*call)) for call in calls]
+    lines = [m for m in caplog.messages if m.startswith("perturb ")]
+    expected = []
+    for (method, level, seed), targets, order, pg in zip(
+        calls, (12, 6, 6, 0), ("drawn", "reused", "drawn", "not needed"), results
+    ):
+        applied = len(pg.edit_log) - pg.skipped_edits
+        expected.append(
+            f"perturb {normalize_method(method)} level={level} seed={seed}: {targets} targets, "
+            f"{applied} edits applied, {pg.skipped_edits} skipped; edit order {order}"
+        )
+    assert lines == expected
 
 
 def test_replay_applies_hand_written_logs_as_one_batch():

@@ -43,7 +43,7 @@ def prizes_of(nodes=None, edges=None, cost=1.0, k=15):
 
 
 def random_prizes(rng, g, cost=1.0):
-    nodes = {v: float(rng.randint(0, 5)) for v in g.entities if rng.random() < 0.7}
+    nodes = {v: float(rng.randint(0, 5)) for v in g.entity_order if rng.random() < 0.7}
     edges = {t: float(rng.randint(1, 4)) for t in g.triples if rng.random() < 0.3}
     return prizes_of(nodes, edges, cost=cost)
 
@@ -213,7 +213,7 @@ def test_paths_match_heap_and_collect_reference():
             prizes = random_prizes(rng, g, cost=rng.choice([0.5, 1.0, 2.0]))
         else:  # non-integer prizes, so any change in summation order would show
             prizes = prizes_of(
-                {v: rng.random() for v in g.entities}, {t: rng.random() for t in g.triples},
+                {v: rng.random() for v in g.entity_order}, {t: rng.random() for t in g.triples},
                 cost=rng.random(),
             )
         start_count, max_len = rng.randint(1, 4), rng.randint(1, 4)
@@ -339,7 +339,7 @@ def test_paths_match_networkx_simple_edge_paths():
             prizes = random_prizes(rng, g, cost=rng.choice([0.5, 1.0, 2.0]))
         else:
             prizes = prizes_of(
-                {v: rng.random() for v in g.entities}, {t: rng.random() for t in g.triples},
+                {v: rng.random() for v in g.entity_order}, {t: rng.random() for t in g.triples},
                 cost=rng.random(),
             )
         args = (
@@ -794,14 +794,14 @@ def test_pcst_matches_tuple_keyed_reference():
             prizes = prizes_of(cost=cost)
         elif style == "integer":
             prizes = prizes_of(
-                {v: float(rng.randint(0, 5)) for v in g.entities if rng.random() < 0.6},
+                {v: float(rng.randint(0, 5)) for v in g.entity_order if rng.random() < 0.6},
                 {t: rng.choice([0.5 * cost, cost, 2.0 * cost, float(rng.randint(1, 4))])
                  for t in g.triples if rng.random() < 0.4},
                 cost=cost,
             )
         else:  # non-integer prizes: the score's summation order would show
             prizes = prizes_of(
-                {v: rng.random() * 3 for v in g.entities if rng.random() < 0.7},
+                {v: rng.random() * 3 for v in g.entity_order if rng.random() < 0.7},
                 {t: rng.random() * 3 for t in g.triples if rng.random() < 0.5},
                 cost=cost,
             )
