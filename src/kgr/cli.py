@@ -50,8 +50,9 @@ from .perturb import (
     perturb,
 )
 from .ppr import PprConfig, extract_and_prune
-from .relevance import EMBED_TOKEN_ENV, EMBED_URL_ENV, HashedBagEmbedder, ServiceEmbedder
-from .retrieval import VARIANT_TRIPLETS, VARIANTS, read_retrieved
+from .relevance import DEFAULT_EDGE_COST, DEFAULT_K, EMBED_TOKEN_ENV, EMBED_URL_ENV
+from .relevance import HashedBagEmbedder, ServiceEmbedder
+from .retrieval import DEFAULT_MAX_LEN, DEFAULT_START_COUNT, VARIANT_TRIPLETS, VARIANTS, read_retrieved
 from .sweep import retrieve_for_question, run_sweep
 from .textgen import (
     DEFAULT_TEMPERATURE,
@@ -400,16 +401,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--variant", choices=VARIANTS, default=VARIANT_TRIPLETS,
         help="retrieval variant (default %(default)s)",
     )
-    retrieval.add_argument("--k", type=int, default=15, help="prize depth (default %(default)s)")
+    retrieval.add_argument("--k", type=int, default=DEFAULT_K, help="prize depth (default %(default)s)")
     retrieval.add_argument(
-        "--edge-cost", type=float, default=1.0, help="uniform edge cost (default %(default)s)"
+        "--edge-cost", type=float, default=DEFAULT_EDGE_COST, help="uniform edge cost (default %(default)s)"
     )
     retrieval.add_argument("--n", type=int, help="triplets or paths returned (default k)")
     retrieval.add_argument(
-        "--start-count", type=int, default=5, help="path start nodes (default %(default)s)"
+        "--start-count", type=int, default=DEFAULT_START_COUNT, help="path start nodes (default %(default)s)"
     )
     retrieval.add_argument(
-        "--max-len", type=int, default=4, help="path length cap in edges (default %(default)s)"
+        "--max-len", type=int, default=DEFAULT_MAX_LEN, help="path length cap in edges (default %(default)s)"
     )
     retrieval.add_argument(
         "--directed-only", action="store_true", help="paths follow edge direction only"

@@ -117,15 +117,32 @@ class KnowledgeGraph:
     def endpoint_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """Subject and object positions in :attr:`entity_order`, one pair per
         triple and aligned with :attr:`triples`.  The arrays are read-only."""
-        index = self.entity_index
-        return _positions(index, self.triples, 0), _positions(index, self.triples, 2)
+        index, triples = self.entity_index, self.triples
+        return tuple(_lookup_ids(index, map(itemgetter(k), triples), len(triples)) for k in (0, 2))
+
+    @cached_property
+    def relation_order(self) -> tuple[str, ...]:
+        """Relations in stable lexicographic order (index space of :attr:`relation_ids`)."""
+        return tuple(sorted(self.relations))
+
+    @cached_property
+    def relation_index(self) -> dict[str, int]:
+        return dict(zip(self.relation_order, count()))
 
     @cached_property
     def relation_ids(self) -> np.ndarray:
-        """Each triple's relation as its position in ``sorted(relations)``,
+        """Each triple's relation as its position in :attr:`relation_order`,
         aligned with :attr:`triples`.  The ``intp`` array is read-only."""
-        index = {r: i for i, r in enumerate(sorted(self.relations))}
-        return _positions(index, self.triples, 1)
+        return _lookup_ids(self.relation_index, map(itemgetter(1), self.triples), len(self.triples))
+
+    @cached_property
+    def triple_keys(self) -> np.ndarray:
+        """Each triple's integer key (see :func:`_keys`), aligned with
+        :attr:`triples` and therefore sorted.  The array is read-only."""
+        subjects, objects = self.endpoint_ids
+        keys = _keys(len(self.entities), len(self.relations), subjects, self.relation_ids, objects)
+        keys.flags.writeable = False
+        return keys
 
     def _induced(self, triple_mask: np.ndarray, entity_mask: np.ndarray) -> "KnowledgeGraph":
         """Subgraph of the triples and entities the boolean masks keep.
@@ -143,9 +160,10 @@ class KnowledgeGraph:
         relation_ids = self.relation_ids[kept_triples]
         used = np.zeros(len(self.relations), dtype=bool)
         used[relation_ids] = True
+        relation_order = _gather(self.relation_order, np.flatnonzero(used))
         child = KnowledgeGraph(
             entities=frozenset(entity_order),
-            relations=frozenset(_gather(tuple(sorted(self.relations)), np.flatnonzero(used))),
+            relations=frozenset(relation_order),
             triples=_gather(self.triples, kept_triples),
         )
         remap = np.cumsum(entity_mask, dtype=np.intp) - 1
@@ -153,18 +171,26 @@ class KnowledgeGraph:
         relation_ids = (np.cumsum(used, dtype=np.intp) - 1)[relation_ids]
         subjects.flags.writeable = objects.flags.writeable = relation_ids.flags.writeable = False
         vars(child).update(
-            entity_order=entity_order, endpoint_ids=(subjects, objects), relation_ids=relation_ids
+            entity_order=entity_order, relation_order=relation_order,
+            endpoint_ids=(subjects, objects), relation_ids=relation_ids,
         )
         return child
 
+    def _find(self, subjects, relation_ids, objects) -> np.ndarray:
+        """Each id triple's position in :attr:`triples`, or -1 where it is
+        absent.  Ids are positions in :attr:`entity_order` and
+        :attr:`relation_order`; a triple with an id of -1 is absent."""
+        keys = self.triple_keys
+        wanted = _keys(len(self.entities), len(self.relations), subjects, relation_ids, objects)
+        if not len(keys):
+            return np.full(len(wanted), -1, dtype=np.intp)
+        # Clipped to the last key, so the array is not copied; no triple has the key -1.
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, at, -1)
+
     def _locate(self, triples: Sequence[Triple]) -> np.ndarray:
         """Each triple's position in :attr:`triples`, or -1 where it is absent."""
-        n, k = len(self.entities), len(self.relations)
-        subjects, objects = self.endpoint_ids
-        keys = np.append(_keys(n, k, subjects, self.relation_ids, objects), -1)
-        wanted = _keys(n, k, *_columns(self.entity_index, sorted(self.relations), triples))
-        at = np.searchsorted(keys[:-1], wanted)  # past the last key: the -1 appended
-        return np.where((keys[at] == wanted) & (wanted >= 0), at, -1)
+        return self._find(*_columns(self.entity_index, self.relation_index, triples))
 
     def _spliced(self, dropped: np.ndarray, added: Sequence[Triple]) -> "KnowledgeGraph":
         """This graph without the triples at positions ``dropped``, plus ``added``.
@@ -179,19 +205,21 @@ class KnowledgeGraph:
         and nothing is re-sorted.  The slots come from integer keys (see
         :func:`_keys`) over this graph's relations and the added ones, and
         the relation ids are renumbered when a label appears or disappears.
-        The child is built by one ``from_triples`` call, which takes the
-        merged triples as they are.
+        The child is handed its relation order, this graph's own tuple when
+        the label set is unchanged.  It is built by one ``from_triples``
+        call, which takes the merged triples as they are.
         """
-        own = sorted(self.relations)
-        relations = sorted(self.relations.union(map(itemgetter(1), added)))
+        own = self.relation_order
+        labels = self.relations.union(map(itemgetter(1), added))
+        relations = own if len(labels) == len(own) else tuple(sorted(labels))
         index = dict(zip(relations, count()))
-        to_union = np.fromiter(map(index.__getitem__, own), np.intp, len(own))
+        to_union = _lookup_ids(index, own, len(own))
         keep = np.ones(len(self.triples), dtype=bool)
         keep[dropped] = False
         kept = np.flatnonzero(keep)
         subjects, objects = self.endpoint_ids
         mine = subjects[kept], to_union[self.relation_ids[kept]], objects[kept]
-        theirs = _columns(self.entity_index, relations, added)
+        theirs = _columns(self.entity_index, index, added)
         n, k = len(self.entities), len(relations)
         kept_keys, added_keys = _keys(n, k, *mine), _keys(n, k, *theirs)
         slots = np.searchsorted(kept_keys, added_keys)
@@ -205,25 +233,25 @@ class KnowledgeGraph:
         )
         used = np.zeros(len(relations), dtype=bool)
         used[relation_ids] = True
+        # A label no triple uses stays when this graph has it without a
+        # triple too; one whose triples were all dropped goes.
+        stays = np.ones(len(own), dtype=bool)
+        stays[self.relation_ids[dropped]] = False
+        used[to_union[stays]] = True
         if not used.all():
-            # A label no triple uses stays when this graph has it without a
-            # triple too; one whose triples were all dropped goes.
-            stays = np.ones(len(own), dtype=bool)
-            stays[self.relation_ids[dropped]] = False
-            used[to_union[stays]] = True
             relation_ids = (np.cumsum(used, dtype=np.intp) - 1)[relation_ids]
+            relations = tuple(compress(relations, used.tolist()))
         # The kept triples and the new ones at their slots: sorted already.
         pool = self.triples + new
         at = np.insert(kept, slots[fresh], np.arange(len(self.triples), len(pool)))
         child = KnowledgeGraph.from_triples(
-            _Canonical(_gather(pool, at)),
-            extra_entities=self.entities,
-            extra_relations=compress(relations, used.tolist()),
+            _Canonical(_gather(pool, at)), extra_entities=self.entities, extra_relations=relations
         )
         subjects.flags.writeable = objects.flags.writeable = relation_ids.flags.writeable = False
         vars(child).update(
             entity_order=self.entity_order,
             entity_index=self.entity_index,
+            relation_order=relations,
             endpoint_ids=(subjects, objects),
             relation_ids=relation_ids,
         )
@@ -291,21 +319,20 @@ class KnowledgeGraph:
         return vec
 
 
-def _positions(index: dict[str, int], triples: tuple[Triple, ...], field: int) -> np.ndarray:
-    """Read-only ``intp`` array of ``index[t[field]]`` for each triple."""
-    ids = np.fromiter(map(index.__getitem__, map(itemgetter(field), triples)), np.intp, len(triples))
+def _lookup_ids(index: dict[str, int], names: Iterable[str], size: int) -> np.ndarray:
+    """Read-only ``intp`` array of the ids in ``index`` of ``size`` names,
+    -1 for a name it lacks."""
+    ids = np.fromiter(map(index.get, names, repeat(-1)), np.intp, size)
     ids.flags.writeable = False
     return ids
 
 
 def _columns(
-    entity_index: dict[str, int], relations: list[str], triples: Sequence[Triple]
+    entity_index: dict[str, int], relation_index: dict[str, int], triples: Sequence[Triple]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Subject, relation and object ids of each triple, relations by their
-    position in the sorted ``relations``; -1 for an id not in the index."""
-    relation_index = dict(zip(relations, count()))
+    """Subject, relation and object ids of each triple (see :func:`_lookup_ids`)."""
     return tuple(
-        np.fromiter(map(index.get, map(itemgetter(field), triples), repeat(-1)), np.intp, len(triples))
+        _lookup_ids(index, map(itemgetter(field), triples), len(triples))
         for index, field in ((entity_index, 0), (relation_index, 1), (entity_index, 2))
     )
 

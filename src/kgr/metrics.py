@@ -17,12 +17,11 @@ set; the L2 distance d between the two means is mapped through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, repeat
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraph, _keys
+from .graph import KnowledgeGraph, _lookup_ids
 
 
 class EdgeScorer(Protocol):
@@ -46,16 +45,13 @@ class BaselineEdgeScorer:
     without out-/in-edges, and entities or relations the graph lacks,
     contribute 0 to the respective half.
 
-    The tables are sorted integer keys over the fitted graph's ids (its
-    entity order and sorted relations): the triples' keys (see
-    :func:`kgr.graph._keys`) and, for the two frequencies, keys
-    ``s * |R| + r`` and ``o * |R| + r`` each with its ``count / degree``.
+    The scorer reads its fitted graph's id tables (entity and relation
+    order and index, triple keys) and keeps only the two frequency tables:
+    sorted keys ``s * |R| + r`` and ``o * |R| + r`` over the graph's ids,
+    each with its ``count / degree``.
     """
 
-    entities: tuple[str, ...]
-    entity_index: dict[str, int]
-    relation_index: dict[str, int]
-    triple_keys: np.ndarray
+    graph: KnowledgeGraph
     out_keys: np.ndarray
     out_freq: np.ndarray
     in_keys: np.ndarray
@@ -71,39 +67,27 @@ class BaselineEdgeScorer:
         ``relations``.
 
         The tables are mapped to the fitted graph's ids with one lookup per
-        name (none when ``entities`` is the fitted entity order); a name the
-        scorer does not know contributes 0.  Present triples are found by
-        their keys, and only the absent ones look up frequencies.
+        name (none for a table that is the graph's own entity or relation
+        order); a name the scorer does not know contributes 0.  Present
+        triples are found by their keys, and only the absent ones look up
+        frequencies.
         """
-        relation_ids = _lookup_ids(self.relation_index, relations)[np.asarray(relation_ids, dtype=np.intp)]
-        subjects, objects = np.asarray(subjects, dtype=np.intp), np.asarray(objects, dtype=np.intp)
-        if entities is not self.entities:
-            entity_map = _lookup_ids(self.entity_index, entities)
+        g, k = self.graph, len(self.graph.relations)
+        subjects, relation_ids, objects = (
+            np.asarray(ids, dtype=np.intp) for ids in (subjects, relation_ids, objects)
+        )
+        if entities is not g.entity_order:
+            entity_map = _lookup_ids(g.entity_index, entities, len(entities))
             subjects, objects = entity_map[subjects], entity_map[objects]
-        n, k = len(self.entities), len(self.relation_index)
+        if relations is not g.relation_order:
+            relation_ids = _lookup_ids(g.relation_index, relations, len(relations))[relation_ids]
         scores = np.ones(len(relation_ids), dtype=np.float64)
-        absent = ~_contains(self.triple_keys, _keys(n, k, subjects, relation_ids, objects))
+        absent = g._find(subjects, relation_ids, objects) < 0
         subjects, relation_ids, objects = subjects[absent], relation_ids[absent], objects[absent]
         out_part = _frequency(self.out_keys, self.out_freq, subjects, relation_ids, k)
         in_part = _frequency(self.in_keys, self.in_freq, objects, relation_ids, k)
         scores[absent] = 0.5 * (out_part + in_part)
         return scores
-
-
-def _lookup_ids(index: dict[str, int], names: Sequence[str]) -> np.ndarray:
-    """Each name's id in ``index``, -1 for a name it lacks."""
-    return np.fromiter(map(index.get, names, repeat(-1)), np.intp, len(names))
-
-
-def _place(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Where each key is or would be in the non-empty sorted array, clipped
-    to its last position."""
-    return np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-
-
-def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether each key is in the non-empty sorted array."""
-    return sorted_keys[_place(sorted_keys, keys)] == keys
 
 
 def _frequency(
@@ -112,7 +96,7 @@ def _frequency(
     """``freq`` at the key ``end * k + r`` of each pair, 0 for a pair the
     table lacks or with an id of -1."""
     keys = np.where((ends < 0) | (relation_ids < 0), -1, ends * k + relation_ids)
-    at = _place(sorted_keys, keys)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     return np.where(sorted_keys[at] == keys, freq[at], 0.0)
 
 
@@ -133,15 +117,9 @@ def fit_baseline_scorer(g: KnowledgeGraph) -> BaselineEdgeScorer:
     """Fit the frequency scorer; a graph without triples is rejected."""
     if not g.triples:
         raise ValueError("cannot fit an edge scorer on a graph without triples")
-    n, k = len(g.entities), len(g.relations)
-    subjects, objects = g.endpoint_ids
-    triple_keys = _keys(n, k, subjects, g.relation_ids, objects)  # sorted, as the triples are
-    triple_keys.flags.writeable = False
+    (subjects, objects), k = g.endpoint_ids, len(g.relations)
     return BaselineEdgeScorer(
-        g.entity_order,
-        g.entity_index,
-        dict(zip(sorted(g.relations), count())),
-        triple_keys,
+        g,
         *_frequency_table(subjects, g.relation_ids, k),
         *_frequency_table(objects, g.relation_ids, k),
     )
@@ -160,7 +138,7 @@ def ats(g: KnowledgeGraph, g_prime: KnowledgeGraph, scorer: EdgeScorer | None = 
         return 0.0
     subjects, objects = g_prime.endpoint_ids
     scores = scorer.score_ids(
-        g_prime.entity_order, sorted(g_prime.relations), subjects, g_prime.relation_ids, objects
+        g_prime.entity_order, g_prime.relation_order, subjects, g_prime.relation_ids, objects
     )
     return float(np.add.accumulate(scores)[-1]) / len(g_prime.triples)
 

@@ -35,9 +35,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triple, _gather, _keys
+from .graph import KnowledgeGraph, Triple, _gather
 from .ingest import json_triple, jsonl_line, jsonl_records
-from .metrics import _contains, fit_baseline_scorer
+from .metrics import fit_baseline_scorer
 
 METHOD_RELATION_SWAP = "relation_swap"
 METHOD_RELATION_REPLACE = "relation_replace"
@@ -122,7 +122,7 @@ class _EditedTriples:
     """A graph's triples T after some edits, ``(T - removed) | added``.
 
     :meth:`has` is told whether the triple is in T, found by key for a
-    batch beforehand (:func:`_in_graph`).  A target is removed once, while
+    batch beforehand (:meth:`KnowledgeGraph._find`).  A target is removed once, while
     present, and no addition is a present triple, so the two sets agree
     with editing a copy of T in place.
     """
@@ -139,22 +139,14 @@ class _EditedTriples:
         self.added.add(new)
 
 
-def _in_graph(g: KnowledgeGraph, subjects, relation_ids, objects) -> list[bool]:
-    """Whether each id triple, with ids as in ``g``'s id arrays, is one of
-    the triples of ``g``, which must have some."""
-    n, k = len(g.entities), len(g.relations)
-    own = _keys(n, k, g.endpoint_ids[0], g.relation_ids, g.endpoint_ids[1])
-    return _contains(own, _keys(n, k, subjects, relation_ids, objects)).tolist()
-
-
 def _relation_swap(g: KnowledgeGraph, picked: np.ndarray, pairs: list[Triple]) -> list[EditRecord]:
     """Swap the relations of ``pairs[2i]`` and ``pairs[2i + 1]``, the
     triples at ``picked[2i]`` and ``picked[2i + 1]``, for each i."""
     (subjects, objects), relation_ids = g.endpoint_ids, g.relation_ids[picked]
     s, o = subjects[picked], objects[picked]
     # f1 takes e2's relation and f2 takes e1's.
-    f1_in = _in_graph(g, s[0::2], relation_ids[1::2], o[0::2])
-    f2_in = _in_graph(g, s[1::2], relation_ids[0::2], o[1::2])
+    f1_in = (g._find(s[0::2], relation_ids[1::2], o[0::2]) >= 0).tolist()
+    f2_in = (g._find(s[1::2], relation_ids[0::2], o[1::2]) >= 0).tolist()
     edited = _EditedTriples()
     log: list[EditRecord] = []
     for e1, e2, f1_in_g, f2_in_g in zip(pairs[0::2], pairs[1::2], f1_in, f2_in):
@@ -188,12 +180,12 @@ def _relation_options(
     name order and the sort is stable, so ties break on the relation as
     they do in ``sorted``; each row is walked lazily.
     """
-    relations, k = sorted(g.relations), len(g.relations)
+    relations, k = g.relation_order, len(g.relations)
     subjects, objects = (np.repeat(ids[picked], k) for ids in g.endpoint_ids)
     relation_ids = np.tile(np.arange(k), len(picked))
     scores = scorer.score_ids(g.entity_order, relations, subjects, relation_ids, objects)
     ranked = np.argsort(sign * scores.reshape(-1, k), axis=1, kind="stable")
-    present = _in_graph(g, subjects, relation_ids, objects)
+    present = (g._find(subjects, relation_ids, objects) >= 0).tolist()
     for i, (e, own, row) in enumerate(zip(targets, g.relation_ids[picked].tolist(), ranked)):
         yield (
             (Triple(e.subject, relations[r], e.object), present[i * k + r])

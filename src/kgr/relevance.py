@@ -32,6 +32,8 @@ EMBED_TOKEN_ENV = "KGR_EMBED_TOKEN"
 
 FALLBACK_DIMENSION = 256
 SERVICE_BATCH_SIZE = 128
+DEFAULT_K = 15  # prize depth: ranks 1..k earn k..1
+DEFAULT_EDGE_COST = 1.0
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -237,8 +239,8 @@ class PrizeAssignment:
 
     node_prizes: dict[str, float]
     edge_prizes: dict[Triple, float]
-    edge_cost: float = 1.0
-    k: int = 15
+    edge_cost: float = DEFAULT_EDGE_COST
+    k: int = DEFAULT_K
 
     def node_prize(self, entity: str) -> float:
         return self.node_prizes.get(entity, 0.0)
@@ -257,8 +259,8 @@ def prize_for_rank(rank: int, k: int) -> int:
 def assign_prizes(
     ranked_nodes: Sequence[str],
     ranked_edges: Sequence[Triple],
-    k: int = 15,
-    edge_cost: float = 1.0,
+    k: int = DEFAULT_K,
+    edge_cost: float = DEFAULT_EDGE_COST,
 ) -> PrizeAssignment:
     """Turn two ranked lists into a prize assignment with shared ``k``.
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph, Triple, _gather, _lookup_ids
 from .ingest import is_id_list, json_triple, jsonl_records
 from .relevance import PrizeAssignment
 
@@ -36,6 +36,8 @@ VARIANT_TRIPLETS = "triplets"
 VARIANT_PATHS = "paths"
 VARIANT_SUBGRAPH = "subgraph"
 VARIANTS = (VARIANT_TRIPLETS, VARIANT_PATHS, VARIANT_SUBGRAPH)
+DEFAULT_START_COUNT = 5  # path start nodes
+DEFAULT_MAX_LEN = 4  # path length cap in edges
 
 logger = logging.getLogger(__name__)
 
@@ -124,12 +126,21 @@ class RetrievedKnowledge:
         }
 
 
-def _triple_score(t: Triple, prizes: PrizeAssignment) -> float:
-    return (
-        prizes.node_prize(t.subject)
-        + prizes.node_prize(t.object)
-        + prizes.edge_prize(t)
-    )
+def _prize_lists(g: KnowledgeGraph, prizes: PrizeAssignment) -> tuple[list[float], list[float]]:
+    """Node prizes by entity id and edge prizes by triple id, 0.0 where the
+    prize maps have no entry.
+
+    The lists start at zero and take the prize maps' entries, so the cost
+    of the lookups follows the number of prizes, not the graph.
+    """
+    nodes, edges = prizes.node_prizes, prizes.edge_prizes
+    lists = [0.0] * len(g.entity_order), [0.0] * len(g.triples)
+    ids = _lookup_ids(g.entity_index, nodes, len(nodes)), g._locate(list(edges))
+    for prize_list, table, at in zip(lists, (nodes, edges), ids):
+        for i, p in zip(at.tolist(), table.values()):
+            if i >= 0:
+                prize_list[i] = p
+    return lists
 
 
 def retrieve_triplets(
@@ -137,22 +148,24 @@ def retrieve_triplets(
 ) -> RetrievedKnowledge:
     """Top-``n`` triples by subject + object + edge prize (default ``prizes.k``).
 
-    Ties break on the lexicographic triple, so results are deterministic.
-    An empty graph yields an empty result.
+    Ties break on the lexicographic triple, so results are deterministic:
+    the triples are sorted already and the sort by score is stable.  An
+    empty graph yields an empty result.
     """
     if n is None:
         n = prizes.k
     if n < 1:
         raise ValueError("n must be >= 1")
-    scored = sorted(
-        ((t, _triple_score(t, prizes)) for t in g.triples),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
+    node_prize, edge_prize = map(np.asarray, _prize_lists(g, prizes))
+    subjects, objects = g.endpoint_ids
+    # Added left to right in float64, as Python adds the three prizes.
+    scores = node_prize[subjects] + node_prize[objects] + edge_prize
+    top = np.argsort(-scores, kind="stable")[:n]
     return RetrievedKnowledge(
         variant=VARIANT_TRIPLETS,
         prize_k=prizes.k,
         edge_cost=prizes.edge_cost,
-        triplets=tuple(scored[:n]),
+        triplets=tuple(zip(_gather(g.triples, top), scores[top].tolist())),
     )
 
 
@@ -202,8 +215,8 @@ def _walk_gain_bounds(
 def retrieve_paths(
     g: KnowledgeGraph,
     prizes: PrizeAssignment,
-    start_count: int = 5,
-    max_len: int = 4,
+    start_count: int = DEFAULT_START_COUNT,
+    max_len: int = DEFAULT_MAX_LEN,
     result_count: int | None = None,
     directed_only: bool = False,
 ) -> list[ScoredPath]:
@@ -243,8 +256,7 @@ def retrieve_paths(
         raise ValueError("result_count must be >= 1")
 
     order, triples = g.entity_order, g.triples
-    node_prize = list(map(prizes.node_prize, order))
-    edge_prize = list(map(prizes.edge_prize, triples))
+    node_prize, edge_prize = _prize_lists(g, prizes)
     # A stable sort, so equal prizes stay in id order, which is entity order.
     starts = sorted(range(len(order)), key=lambda v: -node_prize[v])[:start_count]
     cost = prizes.edge_cost
@@ -413,25 +425,14 @@ class _Transformed(NamedTuple):
 def _transformed_graph(g: KnowledgeGraph, prizes: PrizeAssignment) -> _Transformed:
     """Fold each edge prize into a reduced cost over ``g``'s endpoint ids.
 
-    The prize lists start at zero and take the prize maps' entries, so
-    the cost of the lookups follows the number of prizes, not the graph.
+    The entity carriers are read off the node prize map, so finding them
+    costs one lookup per prize, not one per entity.
     """
     cost = prizes.edge_cost
-    index = g.entity_index
-    prize_of = [0.0] * len(index)
-    carriers = []
-    for entity, p in prizes.node_prizes.items():
-        v = index.get(entity)
-        if v is not None:
-            prize_of[v] = p
-            if p > 0.0:
-                carriers.append(v)
-    edge_prize = [0.0] * len(g.triples)
-    if prizes.edge_prizes:
-        prized = list(prizes.edge_prizes.items())
-        for t, (_, p) in zip(g._locate([t for t, _ in prized]).tolist(), prized):
-            if t >= 0:
-                edge_prize[t] = p
+    prize_of, edge_prize = _prize_lists(g, prizes)
+    carriers = [
+        v for v in map(g.entity_index.get, prizes.node_prizes) if v is not None and prize_of[v] > 0.0
+    ]
     ends = list(zip(*(ids.tolist() for ids in g.endpoint_ids)))
     adjacency: list[list[tuple[int, float, int]]] = [[] for _ in prize_of]
     live: set[int] = set()
@@ -448,7 +449,7 @@ def _transformed_graph(g: KnowledgeGraph, prizes: PrizeAssignment) -> _Transform
             adjacency.append([(s, 0.0, t), (o, 0.0, t)])
             adjacency[s].append((v, 0.0, t))
             adjacency[o].append((v, 0.0, t))
-    entity_count = len(index)
+    entity_count = len(g.entity_order)
     for v in carriers:
         if v < entity_count:
             live.update(t for _, _, t in adjacency[v])
@@ -559,7 +560,8 @@ def _subgraph_from_selection(tg: _Transformed, order, links, selected):
 
     The score is node prizes plus edge prizes minus edge costs, summed
     with ``math.fsum``: correctly rounded, so the same for any order the
-    sets iterate in.
+    sets iterate in.  Where a partial sum leaves the float range, and
+    ``fsum`` raises, the exact sum is rounded: to +-inf past the range.
     """
     nodes: set[int] = set()
     triples: set[int] = set()
@@ -576,9 +578,17 @@ def _subgraph_from_selection(tg: _Transformed, order, links, selected):
                 triples.add(links[i][2])
     _expand_greedily(tg, nodes, triples)
     prize_of, edge_prize, cost = tg.prize_of, tg.edge_prize, tg.cost
-    score = math.fsum(
-        itertools.chain(map(prize_of.__getitem__, nodes), (edge_prize[t] - cost for t in triples))
-    )
+    terms = [*map(prize_of.__getitem__, nodes), *(edge_prize[t] - cost for t in triples)]
+    try:
+        score = math.fsum(terms)
+    except OverflowError:
+        from fractions import Fraction  # imports decimal: kept off the import path
+
+        exact = sum(map(Fraction, terms))
+        try:
+            score = float(exact)
+        except OverflowError:
+            score = math.inf if exact > 0 else -math.inf
     return nodes, triples, score
 
 
@@ -703,8 +713,8 @@ def retrieve(
     prizes: PrizeAssignment,
     variant: str = VARIANT_TRIPLETS,
     n: int | None = None,
-    start_count: int = 5,
-    max_len: int = 4,
+    start_count: int = DEFAULT_START_COUNT,
+    max_len: int = DEFAULT_MAX_LEN,
     directed_only: bool = False,
 ) -> RetrievedKnowledge:
     """Run one retrieval variant and wrap the result uniformly.
@@ -715,22 +725,12 @@ def retrieve(
     if variant == VARIANT_TRIPLETS:
         return retrieve_triplets(g, prizes, n)
     if variant == VARIANT_PATHS:
-        paths = retrieve_paths(g, prizes, start_count, max_len, n, directed_only)
-        return RetrievedKnowledge(
-            variant=VARIANT_PATHS,
-            prize_k=prizes.k,
-            edge_cost=prizes.edge_cost,
-            paths=tuple(paths),
-        )
-    if variant == VARIANT_SUBGRAPH:
-        sub = retrieve_subgraph_pcst(g, prizes)
-        return RetrievedKnowledge(
-            variant=VARIANT_SUBGRAPH,
-            prize_k=prizes.k,
-            edge_cost=prizes.edge_cost,
-            subgraph=sub,
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+        payload = {"paths": tuple(retrieve_paths(g, prizes, start_count, max_len, n, directed_only))}
+    elif variant == VARIANT_SUBGRAPH:
+        payload = {"subgraph": retrieve_subgraph_pcst(g, prizes)}
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return RetrievedKnowledge(variant, prizes.k, prizes.edge_cost, **payload)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +746,7 @@ def _check_oracle_size(g: KnowledgeGraph) -> None:
 
 
 def brute_force_best_path(
-    g: KnowledgeGraph, prizes: PrizeAssignment, max_len: int = 4
+    g: KnowledgeGraph, prizes: PrizeAssignment, max_len: int = DEFAULT_MAX_LEN
 ) -> ScoredPath:
     """Exhaustively enumerate every simple path of at most ``max_len``
     edges (any start node, direction ignored) and return the best one.

@@ -42,8 +42,8 @@ def random_graph(
 
 
 def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
-    """Equal content and layout: entity order and index, endpoint and
-    relation id arrays and incidence included.  ``expected`` is also rebuilt
+    """Equal content and layout: entity and relation order and index,
+    endpoint and relation id arrays, triple keys and incidence included.  ``expected`` is also rebuilt
     by ``from_triples`` so its indexes come from a fresh lookup."""
     rebuilt = KnowledgeGraph.from_triples(
         expected.triples, extra_entities=expected.entities, extra_relations=expected.relations
@@ -53,9 +53,11 @@ def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
         assert g.relations == other.relations
         assert g.entity_order == other.entity_order
         assert g.entity_index == other.entity_index
+        assert g.relation_order == other.relation_order
+        assert g.relation_index == other.relation_index
         for mine, theirs in zip(
-            (*g.endpoint_ids, g.relation_ids, *g.incidence),
-            (*other.endpoint_ids, other.relation_ids, *other.incidence),
+            (*g.endpoint_ids, g.relation_ids, g.triple_keys, *g.incidence),
+            (*other.endpoint_ids, other.relation_ids, other.triple_keys, *other.incidence),
         ):
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
     subjects, objects = g.endpoint_ids
@@ -64,7 +66,7 @@ def assert_same_graph(g: KnowledgeGraph, expected: KnowledgeGraph) -> None:
     relations = sorted(g.relations)
     assert [relations[i] for i in g.relation_ids] == [t.relation for t in g.triples]
     assert g.relation_ids.dtype == np.intp
-    for ids in (subjects, objects, g.relation_ids):
+    for ids in (subjects, objects, g.relation_ids, g.triple_keys):
         assert not ids.flags.writeable
 
 

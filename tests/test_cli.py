@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -250,6 +251,15 @@ class TestRetrieve:
         row = json.dumps({"id": "q", "question": "x", "seeds": []})
         queries.write_text(row + "\n" + row + "\n", encoding="utf-8")
         assert main(["retrieve", "--graph", path, "--queries", str(queries)]) == 2
+
+    def test_subgraph_scores_past_the_float_range_are_infinite(self, graph_file, queries_file, tmp_path):
+        # A prize depth of 10**308 gives prizes near 1e308, and two of them
+        # sum past the float range.
+        path, _ = graph_file
+        out = tmp_path / "retrieved.jsonl"
+        argv = ["retrieve", "--graph", path, "--queries", queries_file, "--variant", "subgraph"]
+        assert main([*argv, "--k", str(10**308), "--out", str(out)]) == 0
+        assert [r["scores"] for r in read_jsonl(out)] == [[math.inf], [math.inf]]
 
     def test_subgraph_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
         # At edge cost 0.3 a subgraph's score sums non-integer terms over

@@ -20,6 +20,9 @@ from kgr.graph import (
     graph_stats,
     relation_subgraph,
 )
+from kgr.ingest import khop_subgraph
+from kgr.perturb import METHODS, EditRecord, PerturbationSpec, perturb, replay_edit_log
+from kgr.ppr import prune_by_ppr
 from conftest import assert_same_graph, local_clustering, random_graph
 
 DIAMOND = [
@@ -227,6 +230,84 @@ def test_triple_keys_sort_as_the_id_triples_without_overflow():
         assert keys.tolist() == [(s * k + r) * n + o if min(s, r, o) >= 0 else -1 for s, r, o in ids]
         valid = range(len(ids) - 3)
         assert sorted(valid, key=keys.__getitem__) == sorted(valid, key=ids.__getitem__)
+
+
+def assert_id_vocabulary(g: KnowledgeGraph) -> None:
+    """The graph's relation order, index and ids and its triple keys equal
+    a rebuild from the strings, and ``_find``/``_locate`` agree with a set
+    of its triples on every id triple and on unknown names."""
+    order = tuple(sorted(g.relations))
+    entity_index = {e: i for i, e in enumerate(sorted(g.entities))}
+    relation_index = {r: i for i, r in enumerate(order)}
+    n, k = len(entity_index), len(order)
+    assert g.relation_order == order
+    assert g.relation_index == relation_index
+    assert g.relation_ids.tolist() == [relation_index[t.relation] for t in g.triples]
+    assert g.triple_keys.tolist() == [
+        (entity_index[s] * k + relation_index[r]) * n + entity_index[o] for s, r, o in g.triples
+    ]
+    assert not g.triple_keys.flags.writeable
+    present = {t: i for i, t in enumerate(g.triples)}
+    names, labels = (*g.entity_order, "zz"), (*order, "r9")
+    probes = [Triple(s, r, o) for s in names for r in labels for o in names]
+    assert g._locate(probes).tolist() == [present.get(t, -1) for t in probes]
+    ids = [(s, r, o) for s in range(-1, n) for r in range(-1, k) for o in range(-1, n)]
+    found = g._find(*(np.array(column, dtype=np.intp) for column in zip(*ids)))
+    assert found.dtype == np.intp
+    assert found.tolist() == [
+        present.get((g.entity_order[s], order[r], g.entity_order[o]), -1) if min(s, r, o) >= 0 else -1
+        for s, r, o in ids
+    ]
+
+
+LABELS = ["r0", "r1", "r2"]
+
+
+@st.composite
+def graphs_and_logs(draw):
+    """A graph with maybe isolated entities and orphan labels, and an
+    applicable edit log whose additions may bring a new label (r1a sorts
+    between the graph's) or empty a relation."""
+    triple = st.tuples(st.sampled_from(NODES), st.sampled_from(LABELS), st.sampled_from(NODES))
+    g = KnowledgeGraph.from_triples(
+        draw(st.lists(triple, max_size=16)),
+        extra_entities=draw(st.lists(st.sampled_from(NODES + ["lone0"]), max_size=2)),
+        extra_relations=draw(st.lists(st.sampled_from(LABELS + ["r3"]), max_size=2)),
+    )
+    log = []
+    for t in draw(st.lists(st.sampled_from(g.triples), unique=True, max_size=4)) if g.triples else []:
+        op = draw(st.sampled_from(["edge_delete", "relation_replace", "edge_rewire"]))
+        if op == "edge_delete":
+            log.append(EditRecord(op, t, None))
+        elif op == "relation_replace":
+            relation = draw(st.sampled_from(LABELS + ["r1a", "r9"]))
+            log.append(EditRecord(op, t, t._replace(relation=relation)))
+        else:
+            log.append(EditRecord(op, t, t._replace(object=draw(st.sampled_from(g.entity_order)))))
+    return g, log
+
+
+TWO = KnowledgeGraph.from_triples([("e0", "r0", "e1"), ("e1", "r2", "e2")], extra_entities=["lone0"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graphs_and_logs())
+@example(case=(KnowledgeGraph.from_triples([]), []))
+# A relation label the graph lacks.
+@example(case=(TWO, [EditRecord("relation_replace", TWO.triples[0], Triple("e0", "r1", "e1"))]))
+# A relation emptied, so the ids of the labels after it shift.
+@example(case=(TWO, [EditRecord("edge_delete", TWO.triples[0], None)]))
+def test_children_carry_the_id_vocabulary_of_their_strings(case):
+    # Extracted, pruned, perturbed and replayed children are handed their
+    # relation order and id arrays instead of rebuilding them.
+    g, log = case
+    family = [g, replay_edit_log(g, log)]
+    for seed in g.entity_order[:2]:
+        family += [khop_subgraph(g, [seed], hops) for hops in (0, 1)]
+    family.append(prune_by_ppr(g, {e: float(i % 2) for i, e in enumerate(g.entity_order)}, 0.5))
+    family += [perturb(g, PerturbationSpec(method, 0.5, 3)).graph for method in METHODS]
+    for h in family:
+        assert_id_vocabulary(h)
 
 
 def unique_clustering(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -75,16 +75,18 @@ def graph_over(draw, names, labels):
 def test_batch_scores_equal_the_dict_reference(fitted, other):
     # ``other`` may name entities (x) and relations (r9) the fitted graph
     # lacks, and either graph may carry orphan labels.  Every id triple over
-    # each graph's name tables is scored, in one batch and one at a time;
-    # the fitted graph's own entity order is used without a lookup.
+    # each graph's name tables is scored, in one batch and one at a time.
+    # The tables are passed as the graph's own tuples, which the fitted
+    # graph's scorer uses without a lookup, and as equal copies.
     scorer, reference = fit_baseline_scorer(fitted), fit_dict_scorer(fitted)
     for g in (fitted, other):
-        entities, relations = g.entity_order, sorted(g.relations)
+        entities, relations = g.entity_order, g.relation_order
         s, r, o = (grid.ravel() for grid in np.indices((len(entities), len(relations), len(entities))))
-        batch = scorer.score_ids(entities, relations, s, r, o)
         expected = [reference.score(entities[i], relations[j], entities[m]) for i, j, m in zip(s, r, o)]
-        assert batch.dtype == np.float64
-        assert batch.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        for tables in ((entities, relations), (list(entities), list(relations))):
+            batch = scorer.score_ids(*tables, s, r, o)
+            assert batch.dtype == np.float64
+            assert batch.tobytes() == np.array(expected, dtype=np.float64).tobytes()
         for t in g.triples:
             one = scorer.score(*t)
             assert type(one) is float and one == reference.score(*t)

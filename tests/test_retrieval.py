@@ -8,6 +8,7 @@ import logging
 import math
 import random
 import sys
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -96,6 +97,30 @@ def test_triplets_tie_breaks_lexicographic():
     g = KnowledgeGraph.from_triples([("B", "r", "B2"), ("A", "r", "A2")])
     result = retrieve_triplets(g, prizes_of(), n=2)
     assert [t.subject for t, _ in result.triplets] == ["A", "B"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+def test_triplets_are_the_sorted_reference_on_tie_heavy_prizes(seed, n):
+    # Few distinct prizes make many ties; 0.1, 0.2 and 0.7 make the float
+    # sum depend on its order.  The maps also name an entity and a triple
+    # the graph lacks.
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 8), rng.randint(0, 24), n_relations=2, allow_self_loops=True)
+    values = [0.0, 0.1, 0.2, 0.7, 1.0, 2.0]
+    prizes = prizes_of(
+        {**{v: rng.choice(values) for v in g.entity_order if rng.random() < 0.7}, "zz": 3.0},
+        {**{t: rng.choice(values) for t in g.triples if rng.random() < 0.5}, Triple("zz", "r0", "zz"): 3.0},
+    )
+    scored = sorted(
+        (
+            (t, prizes.node_prize(t.subject) + prizes.node_prize(t.object) + prizes.edge_prize(t))
+            for t in g.triples
+        ),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+    got = retrieve_triplets(g, prizes, n).triplets
+    assert [(t, type(s), s.hex()) for t, s in got] == [(t, float, s.hex()) for t, s in scored[:n]]
 
 
 def test_triplets_n_larger_than_graph():
@@ -660,8 +685,19 @@ def test_best_subtree_adds_child_gains_in_join_order():
 # Reference PCST with the same rules written plainly: transformed-graph
 # nodes keyed by ("n", entity) / ("v", triple) tuples, a heap push for
 # every edge seen, a DFS order and a sort for the best-subtree pick, and
-# the full-scan greedy attachment.  The score is summed with ``math.fsum``,
-# as the library does.
+# the full-scan greedy attachment.  The score is the exact sum of its
+# float terms, rounded once (see ``exact_sum``).
+
+
+def exact_sum(terms) -> float:
+    """The exact sum of finite floats rounded to the nearest float: what
+    ``math.fsum`` returns when it does not overflow, and +-inf past the
+    float range."""
+    total = sum(map(Fraction, terms), Fraction(0))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def tuple_keyed_pcst(g, prizes):
@@ -737,7 +773,7 @@ def tuple_keyed_pcst(g, prizes):
                 if link is not None and link[0] in selected and link[2] is not None:
                     triples.add(link[2])
         full_scan_expand(g, prizes, nodes, triples)
-        score = math.fsum(
+        score = exact_sum(
             [*(prizes.node_prize(v) for v in nodes), *(prizes.edge_prize(t) - cost for t in triples)]
         )
         return nodes, triples, score
@@ -962,10 +998,9 @@ def test_pcst_rejects_non_finite_prizes_and_costs(bad):
 
 
 def test_pcst_with_huge_prizes_matches_the_reference():
-    # Prizes of 1e308 are finite, but a score with two of them overflows:
-    # then both the library and the reference raise the same error.  (With
-    # -1e308 prizes too, whether math.fsum overflows depends on the order of
-    # its terms, which for the reference's string sets is the hash order.)
+    # Prizes of 1e308 are finite, but a score with two of them sums past
+    # the float range, where ``math.fsum`` raises: such a candidate scores
+    # its exact sum, rounded to inf.
     rng = random.Random(7351)
     outcomes = set()
     for _ in range(400):
@@ -976,18 +1011,38 @@ def test_pcst_with_huge_prizes_matches_the_reference():
             {t: value() for t in g.triples if rng.random() < 0.4},
             cost=rng.choice([0.5, 1.0]),
         )
-        try:
-            want = tuple_keyed_pcst(g, prizes)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                retrieve_subgraph_pcst(g, prizes)
-            outcomes.add("overflow")
-            continue
-        got = retrieve_subgraph_pcst(g, prizes)
+        got, want = retrieve_subgraph_pcst(g, prizes), tuple_keyed_pcst(g, prizes)
         assert (got.subgraph.entities, got.subgraph.triples) == (want.subgraph.entities, want.subgraph.triples)
         assert got.score.hex() == want.score.hex()
-        outcomes.add("huge" if abs(got.score) > 1e300 else "small")
-    assert outcomes == {"overflow", "huge", "small"}
+        outcomes.add("inf" if math.isinf(got.score) else "huge" if abs(got.score) > 1e300 else "small")
+    assert outcomes == {"inf", "huge", "small"}
+
+
+def test_pcst_scores_with_prizes_of_both_signs_past_the_float_range_are_exact():
+    # With -1e308 prizes too, whether ``math.fsum`` overflows depends on the
+    # order of its terms; every call returns, and its score is the exact
+    # sum of its subgraph's terms, rounded once.
+    rng = random.Random(7351)
+    outcomes = set()
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 10), rng.randint(0, 20), allow_self_loops=rng.random() < 0.5)
+        value = lambda: rng.choice([1e308, -1e308, 0.0, rng.random() * 3])
+        cost = rng.choice([0.5, 1.0])
+        prizes = prizes_of(
+            {v: value() for v in g.entity_order if rng.random() < 0.6},
+            {t: value() for t in g.triples if rng.random() < 0.4},
+            cost=cost,
+        )
+        got = retrieve_subgraph_pcst(g, prizes)
+        sub = got.subgraph
+        if max([*prizes.node_prizes.values(), *(p - cost for p in prizes.edge_prizes.values()), 0.0]) == 0.0:
+            # No prize carrier: the highest-degree entity alone, scoring 0.
+            assert (len(sub.entities), sub.triples, got.score) == (1, (), 0.0)
+            continue
+        terms = [*map(prizes.node_prize, sub.entity_order), *(prizes.edge_prize(t) - cost for t in sub.triples)]
+        assert got.score.hex() == exact_sum(terms).hex()
+        outcomes.add("inf" if math.isinf(got.score) else "huge" if abs(got.score) > 1e300 else "small")
+    assert outcomes == {"inf", "huge", "small"}
 
 
 PCST_SCRIPT = """

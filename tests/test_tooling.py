@@ -96,17 +96,36 @@ def test_perturb_builds_its_graph_through_from_triples_once(monkeypatch):
 
 def test_perturb_carries_the_parents_index_family():
     # A perturbed graph takes its parent's entity order and index and is
-    # handed its id arrays when built; a fallback to string lookups would
-    # only show as a slower damage benchmark.
+    # handed its relation order and id arrays when built, the parent's
+    # relation order itself while the label set is unchanged; a fallback to
+    # string lookups would only show as a slower damage benchmark.
     g = KnowledgeGraph.from_triples(
         [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r1", "d"), ("a", "r2", "d")]
     )
     for method in kgr.METHODS:
         for level in (0.0, 0.5, 1.0):
             child = kgr.perturb(g, kgr.PerturbationSpec(method, level, 7)).graph
-            assert {"endpoint_ids", "relation_ids"} <= vars(child).keys(), (method, level)
+            handed = {"endpoint_ids", "relation_ids", "relation_order"}
+            assert handed <= vars(child).keys(), (method, level)
             assert child.entity_order is g.entity_order, (method, level)
             assert child.entity_index is g.entity_index, (method, level)
+            if child.relations == g.relations:
+                assert child.relation_order is g.relation_order, (method, level)
+
+
+def test_extracted_graphs_carry_their_index_family():
+    # K-hop balls and pruned graphs are gathered from their parent's
+    # tables, so they are handed them when built.
+    g = KnowledgeGraph.from_triples([("a", "r1", "b"), ("b", "r2", "c"), ("c", "r3", "d")])
+    children = [kgr.khop_subgraph(g, ["a"], 1), kgr.ppr.prune_by_ppr(g, dict.fromkeys("abcd", 1.0))]
+    for child in children:
+        assert {"entity_order", "endpoint_ids", "relation_ids", "relation_order"} <= vars(child).keys()
+
+
+def test_the_baseline_scorer_reads_its_graphs_tables():
+    # The scorer keeps its fitted graph, not copies of its id tables.
+    g = KnowledgeGraph.from_triples([("a", "r1", "b"), ("b", "r2", "c")])
+    assert kgr.fit_baseline_scorer(g).graph is g
 
 
 def test_pcst_builds_its_subgraph_through_from_triples_once(monkeypatch):
