@@ -37,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 import yaml
 
 from .graph import EntityNotFoundError, KnowledgeGraph, graph_stats
-from .ingest import FORMAT_TSV, FORMATS, jsonl_line, read_graph, read_queries, serialize
+from .ingest import DEFAULT_HOPS, FORMAT_TSV, FORMATS, jsonl_line, read_graph, read_queries, serialize
 from .metrics import compare
 from .perturb import (
     METHODS,
@@ -436,7 +436,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = command("extract", "K-hop extraction plus PPR pruning", graph_in, queried)
     ppr = PprConfig()
     p.add_argument("--seeds", type=_comma_list(str), help="comma-separated seed entity ids")
-    p.add_argument("--hops", type=int, default=2, help="hop budget (default %(default)s)")
+    p.add_argument("--hops", type=int, default=DEFAULT_HOPS, help="hop budget (default %(default)s)")
     p.add_argument(
         "--alpha", type=float, default=ppr.alpha, help="restart weight (default %(default)s)"
     )

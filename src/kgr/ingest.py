@@ -27,6 +27,7 @@ from .graph import EntityNotFoundError, KnowledgeGraph, Triple
 FORMAT_TSV = "tsv"
 FORMAT_NT = "nt"
 FORMATS = (FORMAT_TSV, FORMAT_NT)
+DEFAULT_HOPS = 2  # K-hop budget of extraction
 
 _NT_LINE = re.compile(
     r"^<([^<>\s]+)>\s+<([^<>\s]+)>\s+<([^<>\s]+)>\s*\.$"
@@ -183,7 +184,7 @@ def read_queries(path: str) -> list[dict]:
     return queries
 
 
-def khop_subgraph(g: KnowledgeGraph, seeds: Sequence[str], hops: int = 2) -> KnowledgeGraph:
+def khop_subgraph(g: KnowledgeGraph, seeds: Sequence[str], hops: int = DEFAULT_HOPS) -> KnowledgeGraph:
     """Neighborhood of the seeds within ``hops`` undirected steps.
 
     A triple is kept exactly when both endpoints lie within the hop budget

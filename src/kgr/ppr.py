@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import EntityNotFoundError, KnowledgeGraph
-from .ingest import khop_subgraph
+from .ingest import DEFAULT_HOPS, khop_subgraph
 
 logger = logging.getLogger(__name__)
 
@@ -163,7 +163,7 @@ def prune_by_ppr(
 def extract_and_prune(
     g: KnowledgeGraph,
     seeds: Iterable[str],
-    hops: int = 2,
+    hops: int = DEFAULT_HOPS,
     config: PprConfig = PprConfig(),
     undirected: bool = False,
 ) -> KnowledgeGraph:

@@ -265,11 +265,15 @@ def assign_prizes(
     """Turn two ranked lists into a prize assignment with shared ``k``.
 
     ``ranked_*`` must already be in descending relevance order (as
-    returned by :func:`rank_elements`).  ``k`` must be >= 1 and
-    ``edge_cost`` positive.
+    returned by :func:`rank_elements`).  ``k`` must be >= 1 and within
+    the float range, and ``edge_cost`` positive.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    try:
+        float(k)
+    except OverflowError:
+        raise ValueError("k is too large for a float prize") from None
     if edge_cost <= 0.0:
         raise ValueError("edge_cost must be positive")
     node_prizes = {
@@ -296,7 +300,8 @@ def rank_graph_elements(
     ``similarities`` memoizes each element's (entity id or triple) rounded
     similarity to ``query``: only the elements it lacks are embedded, in
     one ``provider.embed`` call, and added.  Share it only across rankings
-    of one query with a pure provider.
+    of one query; sharing also takes the provider to embed a text the same
+    way every time, as :func:`kgr.sweep.run_sweep` does for every provider.
     """
     provider = provider or HashedBagEmbedder()
     similarities = {} if similarities is None else similarities

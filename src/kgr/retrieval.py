@@ -640,8 +640,9 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
     miss, grow two trees (prize-chasing and cheapest-edge) until every
     carrier has joined or the component is spanned, keep each tree's best
     net-positive subtree, greedily attach any remaining profitable edges,
-    and return the best candidate.  With no prizes anywhere the result
-    degenerates to the single highest-degree node.  Raises ``ValueError``
+    and return the best candidate.  With no positive prize anywhere the
+    result is the one entity with the highest prize (then the highest
+    degree, then the smallest id), scored by that prize.  Raises ``ValueError``
     for an empty graph, or for a NaN or infinite prize or edge cost.
 
     Every step runs on entity and triple ids; only the winning candidate
@@ -666,12 +667,13 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
     # would never be entered at all.
     prized = sorted(tg.carriers, key=lambda key: (-prize_of[key], key))
     if not prized:
-        # An entity's list holds one entry per triple end, so its length
-        # is the degree; max keeps the first, smallest id among equals.
-        best = g.entity_order[max(range(tg.entity_count), key=lambda v: len(adjacency[v]))]
+        # No entity prize is positive and no edge pays for itself, so one
+        # entity is optimal: the highest prize, then the highest degree (an
+        # entity's list holds one entry per triple end), then the smallest id.
+        best = min(range(tg.entity_count), key=lambda v: (-prize_of[v], -len(adjacency[v]), v))
         return ScoredSubgraph(
-            subgraph=KnowledgeGraph.from_triples((), extra_entities=(best,)),
-            score=0.0,
+            subgraph=KnowledgeGraph.from_triples((), extra_entities=(g.entity_order[best],)),
+            score=prize_of[best] + 0.0,  # a -0.0 prize scores 0.0
         )
 
     best_result: tuple | None = None

@@ -83,11 +83,13 @@ def run_sweep(
     over the cells that succeeded, and ``meta`` holds timings, skipped
     edits per cell (None for a failed cell) and memo counters.  One embedder
     serves every ranking; without a ``provider`` it is a fresh memoizing
-    fallback.  A cell whose damaged graph equals ``g`` reuses one
-    ``compare(g, g)`` report.  With the pure fallback each question keeps
-    one similarity memo, and such a cell also reuses the baseline
-    retrieval.  Raises ``ValueError`` for an empty grid, a bad method,
-    level or replace mode, repeated query ids, or a graph without triples.
+    fallback.  Each question keeps one similarity memo across the grid, so
+    the provider embeds only the elements a cell's graph added; a cell
+    whose damaged graph equals ``g`` reuses one ``compare(g, g)`` report
+    and the baseline retrieval.  A provider is therefore taken to embed a
+    text the same way every time.  Raises ``ValueError`` for an empty grid,
+    a bad method, level or replace mode, repeated query ids, or a graph
+    without triples.
     """
     methods = [normalize_method(m) for m in methods]
     if replace_mode not in REPLACE_MODES:
@@ -102,9 +104,6 @@ def run_sweep(
         raise ValueError("graph has no triples; nothing to perturb")
     settings = settings or {}
     provider = provider or HashedBagEmbedder()
-    # Memo and reuse assume a ranking is a pure function of graph and
-    # question, which holds for the fallback embedder and not for a service.
-    pure = isinstance(provider, HashedBagEmbedder)
     memos: dict[str, dict] = {}
     counts: Counter = Counter()
     cell_seeds = _derive_seeds(root_seed, num_seeds)
@@ -115,7 +114,7 @@ def run_sweep(
     ]
 
     def retrieved(graph: KnowledgeGraph, q: dict) -> set:
-        memo = memos.setdefault(q["question"], {}) if pure else {}
+        memo = memos.setdefault(q["question"], {})
         counts["ranked"] += len(graph.entities) + len(graph.triples)
         return retrieve_for_question(graph, q["question"], provider, settings, memo).retrieved_triples()
 
@@ -133,12 +132,11 @@ def run_sweep(
             # graph keeps g's orphan labels.
             same = pg.graph == g
             report = unchanged_report() if same else compare(g, pg.graph, scorer)
-            reuse = pure and same  # an unchanged graph retrieves the baseline
-            counts["reused"] += reuse
+            counts["reused"] += same  # an unchanged graph retrieves the baseline
             per_query = []
             for q in queries:
                 base = baseline[q["id"]]
-                damaged = base if reuse else retrieved(pg.graph, q)
+                damaged = base if same else retrieved(pg.graph, q)
                 per_query.append({"id": q["id"], "overlap": _jaccard(base, damaged)})
             overlap = sum(p["overlap"] for p in per_query) / len(per_query)
             cell.update(ats=report.ats, sc2d=report.sc2d, sd2=report.sd2,
@@ -188,9 +186,9 @@ def run_sweep(
         # Embedder memo counters; null for a provider without a memo.
         "embedded_texts": memo_stats.get("embedded"),
         "embed_cache_hits": memo_stats.get("hits"),
-        # Similarity memo and baseline reuse; null where they do not apply.
-        "similarity_hits": counts["ranked"] - misses if pure else None,
-        "similarity_misses": misses if pure else None,
-        "reused_cells": counts["reused"] if pure else None,
+        # Similarity memo and baseline reuse.
+        "similarity_hits": counts["ranked"] - misses,
+        "similarity_misses": misses,
+        "reused_cells": counts["reused"],
     }
     return records, curves, meta

@@ -13,6 +13,7 @@ flight at once.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 import time
@@ -65,7 +66,10 @@ class PromptTemplate:
                 )
 
     @classmethod
+    @functools.cache
     def default(cls) -> "PromptTemplate":
+        """The package's template, read once per process and then shared
+        (a template is immutable)."""
         pkg = resources.files(__package__) / "templates"
         return cls(
             system_text=(pkg / "default_system.txt").read_text("utf-8").strip("\n"),

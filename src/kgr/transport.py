@@ -4,15 +4,15 @@ Both remote services this library can talk to (embedding, text
 generation) use the same discipline: POST a JSON body, expect a JSON
 object back, retry transient failures with exponential backoff, and
 surface a single error carrying the attempt count once the budget is
-exhausted.
+exhausted.  The HTTP client is the standard library's, imported on the
+first request, so an offline run never loads it.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import time
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -43,29 +43,39 @@ def post_json(
     Retries on connection errors, timeouts, non-2xx statuses, and bodies
     that are not a JSON object, sleeping ``backoff * 2**i`` between
     attempts.  Raises :class:`TransportError` once ``max_attempts`` have
-    failed.
+    failed, and ``ValueError`` before any request for a URL that is not
+    ``http``/``https`` or a payload holding NaN or an infinity, which
+    JSON cannot carry.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    if url.partition(":")[0].lower() not in ("http", "https"):
+        raise ValueError(f"endpoint URL must be http or https, got {url!r}")
+    data = json.dumps(payload, allow_nan=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     last_failure = "no attempt made"
     for attempt in range(max_attempts):
         if attempt:
             time.sleep(backoff * (2 ** (attempt - 1)))
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                raw = resp.read()
+        except urllib.error.HTTPError as exc:  # any status urllib does not follow
+            exc.close()
+            last_failure = f"HTTP {exc.code}"
+            logger.debug("attempt %d against %s returned %d", attempt + 1, url, exc.code)
+            continue
+        except (OSError, http.client.HTTPException) as exc:  # refused, reset, timed out
             last_failure = f"request failed: {exc}"
             logger.debug("attempt %d against %s failed: %s", attempt + 1, url, exc)
             continue
-        if not 200 <= resp.status_code < 300:
-            last_failure = f"HTTP {resp.status_code}"
-            logger.debug(
-                "attempt %d against %s returned %d", attempt + 1, url, resp.status_code
-            )
-            continue
         try:
-            body = resp.json()
+            body = json.loads(raw)
         except ValueError as exc:
             last_failure = f"response is not JSON: {exc}"
             continue

@@ -169,6 +169,12 @@ class TestRetrieve:
             assert len(r["items"]) == len(r["scores"])
             assert r["prize_k"] == 15
 
+    def test_k_past_the_float_range_exits_2(self, graph_file, queries_file, capsys):
+        path, _ = graph_file
+        argv = ["retrieve", "--graph", path, "--queries", queries_file, "--k", str(10**309)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: k is too large")
+
     def test_graph_dir_mode(self, graph_file, tmp_path):
         path, g = graph_file
         gdir = tmp_path / "per_query"
@@ -580,19 +586,40 @@ class TestSweep:
         assert "embed" not in (out_dir / "records.jsonl").read_text()
         assert "embed" not in (out_dir / "curves.csv").read_text()
 
-    def test_embedding_service_is_not_memoized(
+    def test_embedding_service_embeds_only_what_cells_add(
         self, graph_file, queries_file, tmp_path, mock_service
     ):
-        path, _ = graph_file
-        svc = mock_service(
-            lambda payload: (200, {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]})
-        )
+        path, g = graph_file
+        asked = []
+
+        def behavior(payload):
+            asked.append(len(payload["texts"]))
+            return 200, {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]}
+
+        svc = mock_service(behavior)
         out_dir = tmp_path / "sweep"
         assert self.run_sweep(path, queries_file, str(out_dir), ["--embed-url", svc.url]) == 0
         meta = json.loads((out_dir / "meta.json").read_text())
-        assert meta["embedded_texts"] is None
+        assert meta["embedded_texts"] is None  # the service has no memo of its own
         assert meta["embed_cache_hits"] is None
-        assert svc.calls == 2 + 12 * 2  # every ranking asks the service again
+        # The sweep's similarity memo and baseline reuse serve a service as
+        # they serve the fallback: each question asks once for the baseline,
+        # and again only for a changed graph holding elements it has not met.
+        cells = read_jsonl(out_dir / "records.jsonl")[1:]
+        damaged = [
+            perturb(g, PerturbationSpec(c["method"], c["level"], c["seed"])).graph for c in cells
+        ]
+        met, per_question = set(), []
+        for graph in [g] + [d for d in damaged if d != g]:
+            new = {*graph.entity_order, *graph.triples} - met
+            met |= new
+            if new:
+                per_question.append(1 + len(new))  # the question and its new elements
+        assert sorted(asked) == sorted(per_question * 2)  # each of two questions
+        assert svc.calls == 2 * len(per_question) == 10
+        level0 = [c for c in cells if c["level"] == 0.0]
+        assert len(level0) == 4
+        assert all(c["retrieval_overlap"] == 1.0 for c in level0)
 
     def test_rerun_is_byte_identical(self, graph_file, queries_file, tmp_path):
         path, _ = graph_file
@@ -862,6 +889,16 @@ class TestGenerate:
         assert capsys.readouterr().err == (
             "transport error: 1 of 2 requests failed, first q1: HTTP 500 (after 2 attempt(s))\n"
         )
+
+    def test_nan_temperature_exits_2_before_any_request(
+        self, graph_file, queries_file, tmp_path, mock_service, capsys
+    ):
+        retrieved = self.make_retrieved(graph_file, queries_file, tmp_path)
+        svc = mock_service(echo_generation_behavior)
+        argv = ["generate", "--retrieved", str(retrieved), "--gen-url", svc.url, "--temperature", "nan"]
+        assert main(argv) == 2
+        assert svc.calls == 0
+        assert "not JSON compliant" in capsys.readouterr().err
 
     def test_missing_gen_url(self, graph_file, queries_file, tmp_path, monkeypatch):
         monkeypatch.delenv("KGR_GEN_URL", raising=False)

@@ -204,6 +204,12 @@ def test_assign_prizes_validation():
         assign_prizes([], [], edge_cost=0.0)
 
 
+def test_assign_prizes_rejects_k_past_the_float_range():
+    assert assign_prizes(["a"], [], k=10**308).node_prizes == {"a": float(10**308)}
+    with pytest.raises(ValueError, match="too large"):
+        assign_prizes(["a"], [], k=10**309)
+
+
 def test_prize_assignment_defaults():
     prizes = PrizeAssignment(node_prizes={"a": 1.0}, edge_prizes={})
     assert prizes.k == 15

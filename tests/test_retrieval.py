@@ -489,6 +489,36 @@ def test_pcst_no_prizes_degenerates_to_hub_node():
     assert result.score == 0.0
 
 
+def test_pcst_without_a_positive_prize_keeps_the_best_single_entity():
+    g = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "r", "c")])
+    prizes = prizes_of({"b": -3.0})
+    result = retrieve_subgraph_pcst(g, prizes)
+    assert (result.subgraph.entities, result.subgraph.triples, result.score) == ({"a"}, (), 0.0)
+    assert brute_force_best_subgraph(g, prizes).score == 0.0
+    # The highest prize wins, then the highest degree, then the smallest id.
+    for node_prizes, best in (({"a": -2.0, "b": -2.0, "c": -1.0}, "c"), ({"a": -1.0, "b": -1.0, "c": -1.0}, "b")):
+        result = retrieve_subgraph_pcst(g, prizes_of(node_prizes))
+        assert (result.subgraph.entities, result.score) == ({best}, node_prizes[best])
+
+
+def test_pcst_matches_the_oracle_on_non_positive_prizes():
+    rng = random.Random(6131)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 8), rng.randint(0, 14), allow_self_loops=rng.random() < 0.5)
+        cost = rng.choice([0.5, 1.0, 2.0])
+        prizes = prizes_of(
+            {v: -rng.choice([0.0, 1.0, rng.random() * 3]) for v in g.entity_order if rng.random() < 0.7},
+            {t: rng.choice([0.0, cost, rng.random() * cost]) for t in g.triples if rng.random() < 0.5},
+            cost=cost,
+        )
+        got = retrieve_subgraph_pcst(g, prizes)
+        assert got.score == brute_force_best_subgraph(g, prizes).score
+        outs, ins = out_edges(g), in_edges(g)
+        best = min(g.entity_order, key=lambda v: (-prizes.node_prize(v), -len(outs[v]) - len(ins[v]), v))
+        assert (got.subgraph.entity_order, got.subgraph.triples) == ((best,), ())
+        assert got.score == prizes.node_prize(best)
+
+
 def test_pcst_expensive_edge_keeps_single_node():
     g = KnowledgeGraph.from_triples([("A", "r", "B")])
     result = retrieve_subgraph_pcst(g, prizes_of({"A": 1.0, "B": 1.0}, cost=5.0))
@@ -782,8 +812,8 @@ def tuple_keyed_pcst(g, prizes):
     if not prized:
         outs, ins = out_edges(g), in_edges(g)
         degree = {v: len(outs[v]) + len(ins[v]) for v in g.entity_order}
-        best = min(g.entity_order, key=lambda v: (-degree[v], v))
-        return ScoredSubgraph(KnowledgeGraph.from_triples((), extra_entities=(best,)), 0.0)
+        best = min(g.entity_order, key=lambda v: (-prizes.node_prize(v), -degree[v], v))
+        return ScoredSubgraph(KnowledgeGraph.from_triples((), extra_entities=(best,)), prizes.node_prize(best) + 0.0)
     best_result, reached = None, set()
     for i, root in enumerate(prized):
         if i >= 3 and root in reached:
@@ -1036,9 +1066,8 @@ def test_pcst_scores_with_prizes_of_both_signs_past_the_float_range_are_exact():
         got = retrieve_subgraph_pcst(g, prizes)
         sub = got.subgraph
         if max([*prizes.node_prizes.values(), *(p - cost for p in prizes.edge_prizes.values()), 0.0]) == 0.0:
-            # No prize carrier: the highest-degree entity alone, scoring 0.
-            assert (len(sub.entities), sub.triples, got.score) == (1, (), 0.0)
-            continue
+            # No prize carrier: one entity alone, scored by its own prize.
+            assert (len(sub.entities), sub.triples) == (1, ())
         terms = [*map(prizes.node_prize, sub.entity_order), *(prizes.edge_prize(t) - cost for t in sub.triples)]
         assert got.score.hex() == exact_sum(terms).hex()
         outcomes.add("inf" if math.isinf(got.score) else "huge" if abs(got.score) > 1e300 else "small")

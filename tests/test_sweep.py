@@ -155,7 +155,7 @@ def test_retrieve_for_question_is_the_rank_prize_retrieve_chain(
 
 class Unmemoized:
     """One fallback embedder behind a provider that is no
-    ``HashedBagEmbedder``, so the sweep ranks every graph afresh."""
+    ``HashedBagEmbedder``: the sweep treats it as it treats a service."""
 
     def __init__(self):
         self.inner = HashedBagEmbedder()
@@ -182,22 +182,51 @@ def unchanged_cells(g, records):
 FULL_GRID = dict(methods=list(METHODS), levels=[0.0, 0.1, 1.0])
 
 
+def reference_sweep(g, header, settings, methods, levels):
+    """``run_sweep``'s records and curves, every cell ranked afresh: a new
+    fallback embedder per ranking, no similarity memo, no reuse."""
+    scorer = fit_baseline_scorer(g)
+
+    def retrieved(graph, question):
+        return retrieve_for_question(graph, question, HashedBagEmbedder(), settings).retrieved_triples()
+
+    baseline = {q["id"]: retrieved(g, q["question"]) for q in QUERIES}
+    records, curves = [header], ["method,level,mean_ats,mean_sc2d,mean_sd2,mean_retrieval_overlap,seeds_used"]
+    for method in methods:
+        for level in levels:
+            cells = []
+            for seed in sorted(header["cell_seeds"]):
+                damaged = perturb(g, PerturbationSpec(method, level, seed), scorer=scorer).graph
+                report = compare(g, damaged, scorer)
+                per_query = []
+                for q in QUERIES:
+                    a, b = baseline[q["id"]], retrieved(damaged, q["question"])
+                    per_query.append({"id": q["id"], "overlap": len(a & b) / len(a | b) if a | b else 1.0})
+                overlap = sum(p["overlap"] for p in per_query) / len(per_query)
+                cells.append({"method": method, "level": level, "seed": seed, "ats": report.ats,
+                              "sc2d": report.sc2d, "sd2": report.sd2, "retrieval_overlap": overlap,
+                              "per_query": per_query})
+            means = [sum(c[key] for c in cells) / len(cells) for key in ("ats", "sc2d", "sd2", "retrieval_overlap")]
+            curves.append(",".join([method, repr(level), *map(repr, means), str(len(cells))]))
+            records.extend(cells)
+    return records, curves
+
+
 @pytest.mark.parametrize("make_graph", [lambda: random_graph(random.Random(4242), 14, 30, 4), complete_graph])
 def test_memo_and_reuse_leave_records_and_curves_unchanged(make_graph):
     g = make_graph()
-    fast = grid(g, settings=CLI_SETTINGS, provider=HashedBagEmbedder(), **FULL_GRID)
-    slow = grid(g, settings=CLI_SETTINGS, provider=Unmemoized(), **FULL_GRID)
-    jsonl = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in fast[0]]
-    assert jsonl == [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in slow[0]]
-    assert fast[1] == slow[1]
-    assert fast[2]["failed_cells"] == 0
-    # Every level-0.0 cell reuses the baseline, and so does a cell whose
-    # edits were all skipped (each edge_rewire cell of the complete graph).
-    reused = unchanged_cells(g, fast[0])
-    assert fast[2]["reused_cells"] == reused >= 4 * 2 + (4 if make_graph is complete_graph else 0)
-    assert fast[2]["similarity_hits"] > 0 < fast[2]["similarity_misses"]
-    for key in ("reused_cells", "similarity_hits", "similarity_misses"):
-        assert slow[2][key] is None
+    for provider in (HashedBagEmbedder(), Unmemoized()):
+        records, curves, meta = grid(g, settings=CLI_SETTINGS, provider=provider, **FULL_GRID)
+        expected = reference_sweep(g, records[0], CLI_SETTINGS, **FULL_GRID)
+        jsonl = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+        assert jsonl == [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in expected[0]]
+        assert curves == expected[1]
+        assert meta["failed_cells"] == 0
+        # Every level-0.0 cell reuses the baseline, and so does a cell whose
+        # edits were all skipped (each edge_rewire cell of the complete graph).
+        reused = unchanged_cells(g, records)
+        assert meta["reused_cells"] == reused >= 4 * 2 + (4 if make_graph is complete_graph else 0)
+        assert meta["similarity_hits"] > 0 < meta["similarity_misses"]
 
 
 def test_a_pure_sweep_ranks_the_baseline_and_changed_cells_only(graph, monkeypatch):
@@ -217,8 +246,9 @@ def test_a_pure_sweep_ranks_the_baseline_and_changed_cells_only(graph, monkeypat
     assert all(g != graph for g, _ in calls[len(QUERIES):])
     assert meta["reused_cells"] == len(records) - 1 - changed
     calls.clear()
-    records, _, _ = grid(graph, provider=Unmemoized(), **FULL_GRID)
-    assert len(calls) == len(QUERIES) * len(records)  # the baseline and every cell
+    records, _, meta = grid(graph, provider=Unmemoized(), **FULL_GRID)
+    assert len(calls) == len(QUERIES) * (1 + changed)  # any provider reuses the baseline
+    assert meta["reused_cells"] == len(records) - 1 - changed
 
 
 def test_unchanged_cells_reuse_one_compare_report(graph, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from importlib import resources
 
 import pytest
 
@@ -40,6 +41,13 @@ class TestTemplates:
         assert tpl.body_pattern.count("{question}") == 1
         assert tpl.body_pattern.count("{retrieved_knowledge}") == 1
         assert tpl.system_text
+
+    def test_default_template_is_read_once_with_the_files_bytes(self):
+        pkg = resources.files("kgr") / "templates"
+        on_disk = PromptTemplate.from_files(str(pkg / "default_system.txt"), str(pkg / "default_body.txt"))
+        assert PromptTemplate.default() is PromptTemplate.default()
+        assert PromptTemplate.default() == on_disk
+        assert build_prompt("q?", "facts") == build_prompt("q?", "facts", on_disk)
 
     def test_missing_or_duplicate_slots_rejected(self):
         with pytest.raises(TemplateError):
@@ -217,6 +225,18 @@ class TestTransport:
         svc = mock_service(lambda payload: (200, ["a", "list"]))
         with pytest.raises(TransportError):
             post_json(svc.url, {}, backoff=0.01)
+
+    @pytest.mark.parametrize("payload", [{"x": float("nan")}, {"x": [float("-inf")]}])
+    def test_payload_that_is_not_json_raises_before_any_request(self, mock_service, payload):
+        svc = mock_service(lambda payload: (200, {"fine": True}))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            post_json(svc.url, payload)
+        assert svc.calls == 0
+
+    @pytest.mark.parametrize("url", ["file:///dev/null", "127.0.0.1:9"])
+    def test_url_that_is_not_http_raises_before_any_request(self, url):
+        with pytest.raises(ValueError, match="http or https"):
+            post_json(url, {})
 
     def test_success_returns_body_and_retry_count(self, mock_service):
         svc = mock_service(lambda payload: (200, {"fine": True}))

@@ -180,3 +180,20 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_importing_the_cli_leaves_every_http_client_unloaded():
+    # Only the two optional services speak HTTP, and ``post_json`` imports
+    # the standard library's client on its first request.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, kgr, kgr.cli; "
+        "print(sorted({'requests', 'urllib3', 'urllib.request', 'http.client'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
