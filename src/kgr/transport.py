@@ -5,11 +5,14 @@ generation) use the same discipline: POST a JSON body, expect a JSON
 object back, retry transient failures with exponential backoff, and
 surface a single error carrying the attempt count once the budget is
 exhausted.  The HTTP client is the standard library's, imported on the
-first request, so an offline run never loads it.
+first request, so an offline run never loads it.  Redirects are not
+followed: ``urllib`` would resend every header, the bearer token
+included, to whatever host the reply names, over plain http too.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import time
@@ -30,6 +33,18 @@ class TransportError(RuntimeError):
         super().__init__(f"{message} (after {attempts} attempt(s))")
 
 
+@functools.cache
+def _opener():
+    """A ``urllib`` opener that reports every 30x reply as an ``HTTPError``."""
+    import urllib.request
+
+    class _NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
+    return urllib.request.build_opener(_NoRedirect)
+
+
 def post_json(
     url: str,
     payload: dict,
@@ -40,9 +55,9 @@ def post_json(
 ) -> tuple[dict, int]:
     """POST ``payload`` to ``url`` and return ``(response_json, retries)``.
 
-    Retries on connection errors, timeouts, non-2xx statuses, and bodies
-    that are not a JSON object, sleeping ``backoff * 2**i`` between
-    attempts.  Raises :class:`TransportError` once ``max_attempts`` have
+    Retries on connection errors, timeouts, non-2xx statuses (a redirect
+    included: it is not followed), and bodies that are not a JSON object,
+    sleeping ``backoff * 2**i`` between attempts.  Raises :class:`TransportError` once ``max_attempts`` have
     failed, and ``ValueError`` before any request for a URL that is not
     ``http``/``https`` or a payload holding NaN or an infinity, which
     JSON cannot carry.
@@ -63,9 +78,9 @@ def post_json(
         if attempt:
             time.sleep(backoff * (2 ** (attempt - 1)))
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
+            with _opener().open(request, timeout=timeout) as resp:
                 raw = resp.read()
-        except urllib.error.HTTPError as exc:  # any status urllib does not follow
+        except urllib.error.HTTPError as exc:  # any non-2xx status, 30x included
             exc.close()
             last_failure = f"HTTP {exc.code}"
             logger.debug("attempt %d against %s returned %d", attempt + 1, url, exc.code)

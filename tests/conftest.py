@@ -160,13 +160,17 @@ class _MockHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length) or b"{}")
         self.server.last_auth = self.headers.get("Authorization")  # type: ignore[attr-defined]
-        status, body = self.server.behavior(payload)  # type: ignore[attr-defined]
+        status, body, *extra = self.server.behavior(payload)  # type: ignore[attr-defined]
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST  # a followed 301/302/303 arrives as a GET
 
     def log_message(self, *args):  # silence test output
         pass
@@ -175,8 +179,8 @@ class _MockHandler(BaseHTTPRequestHandler):
 class MockService:
     """Tiny local HTTP JSON endpoint with a swappable behavior function.
 
-    ``behavior(payload) -> (status, body_dict)`` runs per request; the
-    call count is tracked so tests can assert on retries.
+    ``behavior(payload) -> (status, body_dict[, headers])`` runs per
+    request; the call count is tracked so tests can assert on retries.
     """
 
     def __init__(self, behavior):

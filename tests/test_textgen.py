@@ -238,6 +238,18 @@ class TestTransport:
         with pytest.raises(ValueError, match="http or https"):
             post_json(url, {})
 
+    @pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+    def test_redirect_is_reported_not_followed(self, mock_service, code):
+        # Following would resend the bearer token to the host the reply names.
+        target = mock_service(lambda payload: (200, {"fine": True}))
+        source = mock_service(lambda payload: (code, {}, {"Location": target.url}))
+        with pytest.raises(TransportError, match=f"HTTP {code}") as exc_info:
+            post_json(source.url, {"x": 1}, token="secret", backoff=0.01)
+        assert exc_info.value.attempts == source.calls == 3
+        assert source.last_auth == "Bearer secret"
+        assert target.calls == 0
+        assert target.last_auth is None
+
     def test_success_returns_body_and_retry_count(self, mock_service):
         svc = mock_service(lambda payload: (200, {"fine": True}))
         body, retries = post_json(svc.url, {"x": 1})
