@@ -194,29 +194,42 @@ def _relation_options(
         )
 
 
-def _rewire_candidates(g: KnowledgeGraph, rng: random.Random, e: Triple) -> Iterator[Triple]:
-    """``e`` with its object moved to a non-neighbour of its subject.
+def _rewire_candidates(
+    g: KnowledgeGraph, rng: random.Random, picked: np.ndarray, targets: list[Triple]
+) -> Iterator[Iterator[tuple[Triple, bool]]]:
+    """For each target (the triple at the same place in ``picked``), the
+    target with its object moved to a non-neighbour of its subject, and
+    False: such a triple is not in ``g``.
 
     Candidate objects exclude the subject and its original 1-hop
     neighborhood (either direction), per the original graph.  Draw
     uniformly from all entities and reject excluded or already tried ones:
     the distinct candidates come out as a uniform random order of the
-    pool, of which the first 100 are tried.  Draws happen only as the
+    pool, of which the first 100 are tried.  Every target's neighbours are
+    gathered from ``g.incidence`` in one pass; draws happen only as the
     candidates are consumed.
     """
-    n, s = len(g.entities), g.entity_index[e.subject]
+    n = len(g.entities)
     (subjects, objects), (indptr, incident) = g.endpoint_ids, g.incidence
-    # The far end of each triple touching s is a neighbour (s itself for a self-loop).
-    ts = incident[indptr[s] : indptr[s + 1]]
-    nbrs = set((subjects[ts] + objects[ts] - s).tolist())
-    tries = min(100, n - len(nbrs) - (s not in nbrs))
-    tried: set[int] = set()
-    while len(tried) < tries:
-        v3 = rng.randrange(n)
-        if v3 == s or v3 in nbrs or v3 in tried:
-            continue
-        tried.add(v3)
-        yield Triple(e.subject, e.relation, g.entity_order[v3])
+    own = subjects[picked]
+    starts, sizes = indptr[own], indptr[own + 1] - indptr[own]
+    ends = np.cumsum(sizes)
+    ts = incident[np.repeat(starts - ends + sizes, sizes) + np.arange(sizes.sum())]
+    # The far end of each triple touching a subject s is a neighbour (s itself for a self-loop).
+    far = (subjects[ts] + objects[ts] - np.repeat(own, sizes)).tolist()
+
+    def draws(e: Triple, s: int, nbrs: set[int]) -> Iterator[tuple[Triple, bool]]:
+        tries = min(100, n - len(nbrs) - (s not in nbrs))
+        tried: set[int] = set()
+        while len(tried) < tries:
+            v3 = rng.randrange(n)
+            if v3 == s or v3 in nbrs or v3 in tried:
+                continue
+            tried.add(v3)
+            yield Triple(e.subject, e.relation, g.entity_order[v3]), False
+
+    for e, s, end, size in zip(targets, own.tolist(), ends.tolist(), sizes.tolist()):
+        yield draws(e, s, set(far[end - size : end]))
 
 
 def _replace_each(
@@ -301,10 +314,7 @@ def perturb(
         elif spec.method == METHOD_EDGE_REWIRE:
             rng = random.Random()
             rng.setstate(state)  # where the shuffle left the generator
-            # A rewired triple's object is not a neighbour of its subject in
-            # ``g``, so no candidate is one of ``g``'s triples.
-            candidates = (((c, False) for c in _rewire_candidates(g, rng, e)) for e in targets)
-            log = _replace_each(spec.method, targets, candidates)
+            log = _replace_each(spec.method, targets, _rewire_candidates(g, rng, picked, targets))
         else:
             if scorer is None:
                 scorer = fit_baseline_scorer(g)
@@ -330,7 +340,8 @@ def replay_edit_log(g: KnowledgeGraph, edit_log: Sequence[EditRecord]) -> Knowle
     lacks; the removal is checked first.
 
     The result keeps ``g``'s orphan relation labels, shares its entity
-    order and index and inherits its id arrays
+    order and index and inherits its id arrays and, once ``g`` has counted
+    it, its triangle state patched through the log
     (:meth:`KnowledgeGraph._spliced`), so only the log's triples are looked
     up by string.  A DEBUG line counts the triples removed, added,
     and dropped because they were already present.

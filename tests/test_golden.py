@@ -135,3 +135,22 @@ def test_qa_chain():
         stages["retrieve"].append(json.dumps(z.to_json_dict(), sort_keys=True))
         stages["prompt"].append(kgr.build_prompt(q["question"], z))
     assert {name: sha(parts) for name, parts in stages.items()} == QA_PINS
+
+
+SECOND_GENERATION_PIN = "1389181e0f0e18ff3c3f8fe1e45040c0d67907e4f3765f8d9003572611bebd6b"
+
+
+def test_perturb_a_damaged_graph_again():
+    """A damaged graph, perturbed again by every method and compared with
+    the damaged graph: the path where a child's clustering comes from a
+    parent that is itself a perturbed graph."""
+    g, seed = graph(DAMAGE_SIZE), 20261
+    g.mean_relation_clustering  # so the damaged graph inherits its parent's
+    first = kgr.perturb(g, kgr.PerturbationSpec("edge_rewire", 0.05, seed), scorer()).graph
+    parts = [json.dumps(kgr.compare(g, first, scorer()).to_json_dict(), sort_keys=True)]
+    for method in kgr.METHODS:
+        pg = kgr.perturb(first, kgr.PerturbationSpec(method, 0.02, seed + 1))
+        report = kgr.compare(first, pg.graph)
+        body = json.dumps(report.to_json_dict(method, 0.02, seed + 1), sort_keys=True)
+        parts += [kgr.serialize(pg.graph), edit_log_to_jsonl(pg.edit_log), body]
+    assert sha(parts) == SECOND_GENERATION_PIN

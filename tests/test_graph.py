@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import logging
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -11,12 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kgr.graph
 from kgr.graph import (
     KnowledgeGraph,
     RelationNotFoundError,
     Triple,
-    _clustering,
+    _clustering_cells,
     _keys,
+    _triangle_state,
     graph_stats,
     relation_subgraph,
 )
@@ -311,8 +315,8 @@ def test_children_carry_the_id_vocabulary_of_their_strings(case):
 
 
 def unique_clustering(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The forward-algorithm kernel as it was with ``np.unique`` for the
-    simple edges, kept as a reference for ``_clustering``'s bytes."""
+    """The dense forward-algorithm kernel as it was with ``np.unique`` for
+    the simple edges, kept as a reference for the triangle state's bytes."""
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     keep = lo != hi
     pairs = np.unique(lo[keep] * size + hi[keep])
@@ -335,6 +339,14 @@ def unique_clustering(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
+def dense_clustering(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every node's clustering, read off the triangle state."""
+    c = np.zeros(size, dtype=np.float64)
+    nodes, values = _clustering_cells(_triangle_state(size, a, b), size)
+    c[nodes] = values
+    return c
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     size=st.integers(1, 9),
@@ -346,8 +358,16 @@ def unique_clustering(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def test_clustering_matches_the_unique_kernel_bit_for_bit(size, edges):
     a = np.array([u % size for u, _ in edges], dtype=np.intp)
     b = np.array([w % size for _, w in edges], dtype=np.intp)
-    got = _clustering(size, a, b)
+    got = dense_clustering(size, a, b)
     assert got.dtype == np.float64 and got.tobytes() == unique_clustering(size, a, b).tobytes()
+    # The state itself: both directions of each simple edge, and each triangle once.
+    simple = {(min(u, w), max(u, w)) for u, w in zip(a.tolist(), b.tolist()) if u != w}
+    state = _triangle_state(size, a, b)
+    assert state.keys.tolist() == sorted(u * size + w for p in simple for u, w in (p, p[::-1]))
+    assert state.rows.tolist() == [
+        [u, v, w] for u, v, w in combinations(range(size), 3)
+        if {(u, v), (u, w), (v, w)} <= simple
+    ]
 
 
 def test_clustering_of_self_loops_and_repeated_edges():
@@ -357,12 +377,152 @@ def test_clustering_of_self_loops_and_repeated_edges():
     )
     assert loops.mean_relation_clustering.tolist() == [0.5, 0.5, 0.5]
     empty = np.zeros(0, dtype=np.intp)
-    assert _clustering(0, empty, empty).tolist() == []
-    assert _clustering(2, np.array([0, 1]), np.array([0, 1])).tolist() == [0.0, 0.0]
+    assert dense_clustering(0, empty, empty).tolist() == []
+    assert dense_clustering(2, np.array([0, 1]), np.array([0, 1])).tolist() == [0.0, 0.0]
     # Duplicate and antiparallel edges count once in the projection.
     a, b = np.array([0, 1, 0, 1, 2, 2, 0]), np.array([1, 0, 1, 2, 1, 0, 2])
-    assert _clustering(4, a, b).tolist() == [1.0, 1.0, 1.0, 0.0]
-    assert _clustering(3, a[:5], b[:5]).tolist() == [0.0, 0.0, 0.0]
+    assert dense_clustering(4, a, b).tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert dense_clustering(3, a[:5], b[:5]).tolist() == [0.0, 0.0, 0.0]
+    # Edge keys are int64: a block graph too large for them is refused, not wrapped.
+    with pytest.raises(OverflowError):
+        _triangle_state(3037000500, empty, empty)
+    assert _triangle_state(3037000499, empty, empty).keys.tolist() == []
+
+
+def dense_mean_relation_clustering(g: KnowledgeGraph) -> np.ndarray:
+    """The dense kernel's vector as it was: one row of ``unique_clustering``
+    per relation block, the rows added in relation order."""
+    n, k = len(g.entities), len(g.relations)
+    acc = np.zeros(n, dtype=np.float64)
+    if k:
+        subjects, objects = g.endpoint_ids
+        offsets = g.relation_ids * n
+        for row in unique_clustering(k * n, subjects + offsets, objects + offsets).reshape(k, n):
+            acc += row
+        acc /= k
+    return acc
+
+
+def assert_state_is_the_full_kernel(parent: KnowledgeGraph, child: KnowledgeGraph) -> None:
+    """``child`` was spliced from ``parent``, which had its triangle state:
+    the child inherits a patched state exactly when its relation order is
+    the parent's, and that state and its vector equal a fresh graph's."""
+    assert ("_triangles" in vars(child)) == (child.relation_order == parent.relation_order)
+    fresh = KnowledgeGraph.from_triples(
+        child.triples, extra_entities=child.entities, extra_relations=child.relations
+    )
+    for mine, full in zip(child._triangles, fresh._triangles):
+        assert mine.dtype == full.dtype and mine.shape == full.shape and np.array_equal(mine, full)
+    vector = child.mean_relation_clustering.tobytes()
+    assert vector == fresh.mean_relation_clustering.tobytes()
+    assert vector == dense_mean_relation_clustering(child).tobytes()
+
+
+@st.composite
+def perturbation_chains(draw):
+    """A graph dense in triangles, with self-loops and parallel and reverse
+    edges, and one to three perturbations, each applied to the last result."""
+    triple = st.tuples(st.sampled_from(NODES), st.sampled_from(LABELS[:2]), st.sampled_from(NODES))
+    g = KnowledgeGraph.from_triples(
+        draw(st.lists(triple, max_size=30)),
+        extra_entities=NODES,
+        extra_relations=draw(st.lists(st.sampled_from(LABELS), max_size=1)),
+    )
+    spec = st.builds(
+        PerturbationSpec,
+        st.sampled_from(METHODS),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        st.integers(0, 2**16),
+    )
+    return g, draw(st.lists(spec, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=perturbation_chains())
+@example(case=(KnowledgeGraph.from_triples([]), [PerturbationSpec("relation_swap", 1.0, 0)]))
+@example(case=(KnowledgeGraph.from_triples([], extra_entities=NODES), [PerturbationSpec("edge_rewire", 0.5, 1)]))
+def test_perturbed_graphs_inherit_the_full_kernels_triangle_state(case):
+    g, specs = case
+    g._triangles
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kgr.graph, "_PATCH_SHARE", 0)  # patch edits of any size
+        for spec in specs:
+            child = perturb(g, spec).graph
+            assert_state_is_the_full_kernel(g, child)
+            g = child
+
+
+SQUARE = KnowledgeGraph.from_triples(
+    [("e0", "r0", "e1"), ("e1", "r0", "e0"), ("e1", "r0", "e2"), ("e2", "r0", "e0"),
+     ("e2", "r0", "e3"), ("e3", "r0", "e0"), ("e0", "r1", "e0")]
+    + [(f"e{i}", "r1", f"e{i + 1}") for i in range(9)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graphs_and_logs())
+@example(case=(KnowledgeGraph.from_triples([]), []))
+@example(case=(SQUARE, []))  # level 0: nothing changes
+# A removed triple whose reverse stays keeps its edge and its triangle.
+@example(case=(SQUARE, [EditRecord("edge_delete", Triple("e0", "r0", "e1"), None)]))
+# A triple that the log removes and adds back.
+@example(case=(SQUARE, [
+    EditRecord("edge_delete", Triple("e1", "r0", "e2"), None),
+    EditRecord("edge_rewire", Triple("e2", "r0", "e3"), Triple("e1", "r0", "e2")),
+]))
+# A new edge closing two triangles at once, and one that touches a self-loop.
+@example(case=(SQUARE, [
+    EditRecord("relation_replace", Triple("e0", "r1", "e0"), Triple("e1", "r0", "e3")),
+    EditRecord("edge_rewire", Triple("e3", "r0", "e0"), Triple("e3", "r0", "e3")),
+]))
+# A relation emptied, and a new label: the relation ids move, so the state is counted anew.
+@example(case=(TWO, [EditRecord("edge_delete", TWO.triples[0], None)]))
+@example(case=(TWO, [EditRecord("relation_replace", TWO.triples[0], Triple("e0", "r1", "e1"))]))
+def test_replayed_graphs_inherit_the_full_kernels_triangle_state(case):
+    g, log = case
+    g._triangles
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kgr.graph, "_PATCH_SHARE", 0)  # patch edits of any size
+        assert_state_is_the_full_kernel(g, replay_edit_log(g, log))
+
+
+def test_large_edits_are_counted_in_full():
+    # An edit that drops and adds at most one triple in eight is patched.
+    g = KnowledgeGraph.from_triples(SQUARE.triples)
+    g._triangles
+    for count, patched in ((2, True), (3, False)):
+        child = replay_edit_log(g, [EditRecord("edge_delete", t, None) for t in g.triples[:count]])
+        assert ("_triangles" in vars(child)) == patched
+        fresh = KnowledgeGraph.from_triples(child.triples, extra_entities=child.entities)
+        assert child.mean_relation_clustering.tobytes() == fresh.mean_relation_clustering.tobytes()
+
+
+def test_triangle_state_logs_how_it_was_made(caplog):
+    with caplog.at_level(logging.DEBUG, logger="kgr.graph"):
+        g = KnowledgeGraph.from_triples(SQUARE.triples)
+        g.mean_relation_clustering
+        replay_edit_log(g, [EditRecord("edge_delete", Triple("e1", "r0", "e2"), None)])
+    assert [r.getMessage() for r in caplog.records if r.name == "kgr.graph"] == [
+        "triangle state counted in full: 14 simple edges, 2 triangles",
+        "triangle state patched: 1 edges gone, 0 new; 1 triangles lost, 0 gained",
+    ]
+
+
+def test_clustering_memory_follows_the_triples_not_the_relation_blocks():
+    # |V| * |R| = 5M block nodes, but only 2000 triples: the dense kernel
+    # peaked at 125 MB here.
+    rng = random.Random(7)
+    nodes, relations = [f"e{i}" for i in range(5000)], [f"r{i}" for i in range(1000)]
+    triples = {(rng.choice(nodes), rng.choice(relations), rng.choice(nodes)) for _ in range(2000)}
+    g = KnowledgeGraph.from_triples(triples, extra_entities=nodes, extra_relations=relations)
+    g.endpoint_ids, g.relation_ids
+    tracemalloc.start()
+    try:
+        g.mean_relation_clustering
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_stats_clustering_is_the_per_node_mean_bit_for_bit():
