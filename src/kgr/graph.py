@@ -70,12 +70,12 @@ class KnowledgeGraph:
         Raises ``ValueError`` on empty ids.  The result does not depend on
         the input's order or repeats.  Deduplication keeps the input's order
         until the sort, so input made of a few sorted runs sorts in about
-        one comparison per triple.  A perturbed graph's triples come already
+        one comparison per triple.  A derived graph's triples come already
         canonical, with its whole member sets as the extras
-        (:meth:`_spliced`), and are taken as they are.
+        (:meth:`_derived`), and are taken as they are.
         """
         if type(triples) is _Canonical:
-            # A spliced graph's triples, and its whole entity and relation sets.
+            # A derived graph's triples, and its whole entity and relation sets.
             return cls(frozenset(extra_entities), frozenset(extra_relations), tuple(triples))
         seen = dict.fromkeys(t if isinstance(t, Triple) else Triple(*t) for t in triples)
         subjects, relations, objects = (set(map(itemgetter(k), seen)) for k in range(3))
@@ -155,27 +155,44 @@ class KnowledgeGraph:
         duplicate-free, so nothing is re-sorted; the child's entity order,
         endpoint arrays and relation ids are carried over instead of
         rebuilt, and its relations are the parent's that a kept triple
-        uses.  Members are gathered by the kept positions, so the cost
-        follows the child's size, not the parent's.
+        uses (see :meth:`_derived`).  Members are gathered by the kept
+        positions, so the cost follows the child's size, not the parent's.
         """
-        kept_triples = np.flatnonzero(triple_mask)
-        entity_order = _gather(self.entity_order, np.flatnonzero(entity_mask))
-        relation_ids = self.relation_ids[kept_triples]
-        used = np.zeros(len(self.relations), dtype=bool)
-        used[relation_ids] = True
-        relation_order = _gather(self.relation_order, np.flatnonzero(used))
-        child = KnowledgeGraph(
-            entities=frozenset(entity_order),
-            relations=frozenset(relation_order),
-            triples=_gather(self.triples, kept_triples),
-        )
+        kept = np.flatnonzero(triple_mask)
         remap = np.cumsum(entity_mask, dtype=np.intp) - 1
-        subjects, objects = (remap[ids[kept_triples]] for ids in self.endpoint_ids)
-        relation_ids = (np.cumsum(used, dtype=np.intp) - 1)[relation_ids]
+        subjects, objects = (remap[ids[kept]] for ids in self.endpoint_ids)
+        return self._derived(
+            _gather(self.entity_order, np.flatnonzero(entity_mask)), _gather(self.triples, kept),
+            (subjects, self.relation_ids[kept], objects), self.relation_order,
+        )
+
+    def _derived(
+        self, entity_order: tuple, triples: tuple, ids: tuple, relations: tuple, labels_kept=()
+    ) -> "KnowledgeGraph":
+        """The graph of sorted, duplicate-free ``triples`` whose subject,
+        relation and object ``ids`` index ``entity_order`` and ``relations``.
+
+        Relation labels that no triple uses are dropped, but for those at
+        the positions ``labels_kept``, and the relation ids renumbered.  The child
+        is built by one ``from_triples`` call, which takes the triples as
+        they are, and is handed its orders and id arrays: ``relations``
+        itself when no label goes, and this graph's entity set and index
+        when ``entity_order`` is this graph's.
+        """
+        subjects, relation_ids, objects = ids
+        used = np.zeros(len(relations), dtype=bool)
+        used[relation_ids] = used[np.asarray(labels_kept, dtype=np.intp)] = True
+        if not used.all():
+            relation_ids = (np.cumsum(used, dtype=np.intp) - 1)[relation_ids]
+            relations = tuple(compress(relations, used.tolist()))
+        shared = {"entity_index": self.entity_index} if entity_order is self.entity_order else {}
+        child = KnowledgeGraph.from_triples(
+            _Canonical(triples), self.entities if shared else entity_order, relations
+        )
         subjects.flags.writeable = objects.flags.writeable = relation_ids.flags.writeable = False
         vars(child).update(
-            entity_order=entity_order, relation_order=relation_order,
-            endpoint_ids=(subjects, objects), relation_ids=relation_ids,
+            entity_order=entity_order, relation_order=relations,
+            endpoint_ids=(subjects, objects), relation_ids=relation_ids, **shared,
         )
         return child
 
@@ -195,27 +212,23 @@ class KnowledgeGraph:
 
         ``added`` must be sorted and duplicate-free, with endpoints among this
         graph's entities; an added triple that is kept anyway is not added
-        twice.  The child keeps this graph's orphan relation labels (those
-        without a triple) and carries its entity set, order and index.  Its
-        triples and its endpoint and relation ids are this graph's, gathered
-        at the kept positions, with the new triples and their ids inserted at
-        their sorted slots: only the added triples are looked up by string,
-        and nothing is re-sorted.  The slots come from integer keys (see
-        :func:`_keys`) over this graph's relations and the added ones, and
-        the relation ids are renumbered when a label appears or disappears.
-        The child is handed its relation order, this graph's own tuple when
-        the label set is unchanged.  It is built by one ``from_triples``
-        call, which takes the merged triples as they are.
+        twice, and an edit that drops nothing and adds nothing new returns
+        this graph itself.  The child (see :meth:`_derived`) keeps this
+        graph's orphan relation labels (those without a triple) and entity
+        tables.  Its triples and id arrays are this graph's at the kept
+        positions, with the new ones inserted at their sorted slots, which
+        come from integer keys (see :func:`_keys`) over this graph's
+        relations and the added ones: only the added triples are looked up
+        by string, and nothing is re-sorted.
 
         When this graph has counted its triangle state (:attr:`_triangles`),
         the label set is unchanged, so the block node ids are too, and the
         edit drops and adds at most one triple in :data:`_PATCH_SHARE`, the
         child is handed that state patched through the edit
-        (:func:`_patched`), or shares it when nothing was dropped or added:
-        a dropped triple's block edge is gone unless the child keeps its
-        reverse or the edit adds it back, and an added triple's edge is new
-        unless this graph has it.  Otherwise the child counts its own state
-        in full when it is first read.
+        (:func:`_patched`): a dropped triple's block edge is gone unless the
+        child keeps its reverse or the edit adds it back, and an added
+        triple's edge is new unless this graph has it.  Otherwise the child
+        counts its own state in full when it is first read.
         """
         own = self.relation_order
         labels = self.relations.union(map(itemgetter(1), added))
@@ -232,51 +245,32 @@ class KnowledgeGraph:
         kept_keys, added_keys = _keys(n, k, *mine), _keys(n, k, *theirs)
         slots = np.searchsorted(kept_keys, added_keys)
         fresh = np.append(kept_keys, -1)[slots] != added_keys
+        if not len(dropped) and not fresh.any():
+            return self
         new = tuple(compress(added, fresh.tolist()))
         bad = next((t for t in new if not all(t)), None)
         if bad is not None:
             raise ValueError(f"triple with empty field: {bad!r}")
-        subjects, relation_ids, objects = (
-            np.insert(ids, slots[fresh], ids_new[fresh]) for ids, ids_new in zip(mine, theirs)
-        )
-        used = np.zeros(len(relations), dtype=bool)
-        used[relation_ids] = True
-        # A label no triple uses stays when this graph has it without a
-        # triple too; one whose triples were all dropped goes.
+        merged = tuple(np.insert(a, slots[fresh], b[fresh]) for a, b in zip(mine, theirs))
+        # Orphan labels stay; a label whose triples were all dropped goes.
         stays = np.ones(len(own), dtype=bool)
         stays[self.relation_ids[dropped]] = False
-        used[to_union[stays]] = True
-        if not used.all():
-            relation_ids = (np.cumsum(used, dtype=np.intp) - 1)[relation_ids]
-            relations = tuple(compress(relations, used.tolist()))
         # The kept triples and the new ones at their slots: sorted already.
         pool = self.triples + new
         at = np.insert(kept, slots[fresh], np.arange(len(self.triples), len(pool)))
-        child = KnowledgeGraph.from_triples(
-            _Canonical(_gather(pool, at)), extra_entities=self.entities, extra_relations=relations
-        )
-        subjects.flags.writeable = objects.flags.writeable = relation_ids.flags.writeable = False
-        vars(child).update(
-            entity_order=self.entity_order,
-            entity_index=self.entity_index,
-            relation_order=relations,
-            endpoint_ids=(subjects, objects),
-            relation_ids=relation_ids,
-        )
+        child = self._derived(self.entity_order, _gather(pool, at), merged, relations, to_union[stays])
         # The patch needs this graph's block node ids, so its relation order.
         state = vars(self).get("_triangles")
-        edited = len(dropped) + len(new)
-        if state is not None and relations is own and _PATCH_SHARE * edited <= len(self.triples):
-            if edited:
-                # A dropped triple's edge stays if its reverse is kept (or the log adds it back).
-                (s, o), r = (ids[dropped] for ids in self.endpoint_ids), self.relation_ids[dropped]
-                gone = _position(kept_keys, _keys(n, k, o, r, s)) < 0
-                state = _patched(
-                    state, n * k,
-                    _block_edges(n, k, s[gone], r[gone], o[gone]),
-                    _block_edges(n, k, *(ids[fresh] for ids in theirs)),
-                )
-            vars(child)["_triangles"] = state  # read-only arrays, shared when nothing changed
+        small = _PATCH_SHARE * (len(dropped) + len(new)) <= len(self.triples)
+        if state is not None and child.relation_order is own and small:
+            # A dropped triple's edge stays if its reverse is kept (or the log adds it back).
+            (s, o), r = (ids[dropped] for ids in self.endpoint_ids), self.relation_ids[dropped]
+            gone = _position(kept_keys, _keys(n, k, o, r, s)) < 0
+            vars(child)["_triangles"] = _patched(
+                state, n * k,
+                _block_edges(n, k, s[gone], r[gone], o[gone]),
+                _block_edges(n, k, *(ids[fresh] for ids in theirs)),
+            )
         return child
 
     @cached_property
@@ -437,6 +431,12 @@ def _runs(keys: np.ndarray, size: int, nodes: np.ndarray) -> tuple[np.ndarray, n
     return bounds[0], bounds[1] - bounds[0]
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + lengths[i] - 1`` one after another."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+
+
 def _run_lengths(values: np.ndarray) -> np.ndarray:
     """The lengths of the runs of equal entries of sorted non-negative ``values``."""
     return np.diff(np.flatnonzero(np.diff(values, prepend=-1)), append=len(values))
@@ -464,10 +464,11 @@ def _triangle_state(size: int, a: np.ndarray, b: np.ndarray) -> _Triangles:
     Hubs keep few out-edges, so far fewer pairs are tried than the sum of
     squared degrees that neighbour-set intersections would visit.  Every
     array follows the edge count; none has ``size`` entries.  Edge keys
-    are ``int64``, so ``size`` must stay below ``2**31.5`` (about 3.04e9).
+    are ``int64``, so a ``size`` from ``2**31.5`` (about 3.04e9) up raises
+    ``ValueError``.
     """
     if size * size >= 2**63:
-        raise OverflowError(f"{size} nodes: edge keys would overflow int64")
+        raise ValueError(f"{size} nodes: edge keys would overflow int64")
     lo, hi = np.minimum(a, b).astype(np.int64), np.maximum(a, b)
     keep = lo != hi
     edges = _distinct(lo[keep] * size + hi[keep])  # the simple edges, lo < hi
@@ -485,7 +486,7 @@ def _triangle_state(size: int, a: np.ndarray, b: np.ndarray) -> _Triangles:
     runs = _run_lengths(src)
     later = np.repeat(np.cumsum(runs), runs) - np.arange(len(src)) - 1
     i = np.repeat(np.arange(len(src)), later)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    j = _ranges(np.arange(1, len(src) + 1), later)
     u, w = dst[i], dst[j]  # u < w
     found = _position(edges, u * size + w) >= 0
     return _frozen(keys, _sorted_rows(np.column_stack((src[i[found]], u[found], w[found]))))
@@ -532,7 +533,7 @@ def _patched(state: _Triangles, size: int, removed: np.ndarray, added: np.ndarra
     x, y = np.where(near, lo, hi), np.where(near, hi, lo)
     at, deg = np.where(near, at[:m], at[m:]), np.minimum(deg[:m], deg[m:])
     edge = np.repeat(np.arange(m), deg)
-    w = keys[np.arange(len(edge)) + np.repeat(at - np.cumsum(deg) + deg, deg)] % size
+    w = keys[_ranges(at, deg)] % size
     closed = _position(keys, y[edge] * size + w) >= 0
     edge = edge[closed]
     rows = _sorted_rows(np.concatenate((state.rows[~lost], np.column_stack((x[edge], y[edge], w[closed])))))
@@ -599,19 +600,14 @@ def graph_stats(g: KnowledgeGraph) -> GraphStats:
     n = len(g.entities)
     if n == 0:
         return GraphStats(0, 0, 0.0, 0.0, 0.0)
-    undirected_simple = {
-        frozenset((t.subject, t.object)) for t in g.triples if t.subject != t.object
-    }
-    directed_simple = {
-        (t.subject, t.object) for t in g.triples if t.subject != t.object
-    }
-    avg_degree = 2.0 * len(undirected_simple) / n
-    clustering = sum(_clustering_cells(_triangle_state(n, *g.endpoint_ids), n)[1].tolist()) / n
-    density = len(directed_simple) / (n * (n - 1)) if n > 1 else 0.0
+    subjects, objects = g.endpoint_ids
+    state = _triangle_state(n, subjects, objects)  # keys: both directions of each simple edge
+    loops = subjects == objects
+    directed = len(_distinct(subjects[~loops] * n + objects[~loops]))
     return GraphStats(
         node_count=n,
         edge_count=len(g.triples),
-        avg_degree=avg_degree,
-        clustering_coefficient=clustering,
-        density=density,
+        avg_degree=len(state.keys) / n,
+        clustering_coefficient=sum(_clustering_cells(state, n)[1].tolist()) / n,
+        density=directed / (n * (n - 1)) if n > 1 else 0.0,
     )

@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraph, _lookup_ids
+from .graph import KnowledgeGraph, _lookup_ids, _position, _run_lengths
 
 
 class EdgeScorer(Protocol):
@@ -95,9 +95,8 @@ def _frequency(
 ) -> np.ndarray:
     """``freq`` at the key ``end * k + r`` of each pair, 0 for a pair the
     table lacks or with an id of -1."""
-    keys = np.where((ends < 0) | (relation_ids < 0), -1, ends * k + relation_ids)
-    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return np.where(sorted_keys[at] == keys, freq[at], 0.0)
+    at = _position(sorted_keys, np.where((ends < 0) | (relation_ids < 0), -1, ends * k + relation_ids))
+    return np.where(at >= 0, freq[at], 0.0)
 
 
 def _frequency_table(ends: np.ndarray, relation_ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,9 +104,8 @@ def _frequency_table(ends: np.ndarray, relation_ids: np.ndarray, k: int) -> tupl
     triples that relation r labels (count / degree, in float64 as
     Python's int / int gives it)."""
     keys = np.sort(ends * k + relation_ids)
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.diff(starts, append=len(keys))
-    unique = keys[starts]
+    counts = _run_lengths(keys)
+    unique = keys[np.cumsum(counts) - counts]
     freq = counts / np.bincount(ends)[unique // k]
     unique.flags.writeable = freq.flags.writeable = False
     return unique, freq

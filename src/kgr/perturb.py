@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triple, _gather
+from .graph import KnowledgeGraph, Triple, _gather, _ranges
 from .ingest import json_triple, jsonl_line, jsonl_records
 from .metrics import fit_baseline_scorer
 
@@ -213,8 +213,7 @@ def _rewire_candidates(
     (subjects, objects), (indptr, incident) = g.endpoint_ids, g.incidence
     own = subjects[picked]
     starts, sizes = indptr[own], indptr[own + 1] - indptr[own]
-    ends = np.cumsum(sizes)
-    ts = incident[np.repeat(starts - ends + sizes, sizes) + np.arange(sizes.sum())]
+    ts = incident[_ranges(starts, sizes)]
     # The far end of each triple touching a subject s is a neighbour (s itself for a self-loop).
     far = (subjects[ts] + objects[ts] - np.repeat(own, sizes)).tolist()
 
@@ -228,7 +227,7 @@ def _rewire_candidates(
             tried.add(v3)
             yield Triple(e.subject, e.relation, g.entity_order[v3]), False
 
-    for e, s, end, size in zip(targets, own.tolist(), ends.tolist(), sizes.tolist()):
+    for e, s, end, size in zip(targets, own.tolist(), np.cumsum(sizes).tolist(), sizes.tolist()):
         yield draws(e, s, set(far[end - size : end]))
 
 
@@ -339,7 +338,8 @@ def replay_edit_log(g: KnowledgeGraph, edit_log: Sequence[EditRecord]) -> Knowle
     neither in ``g`` nor added by the log, or adds one with an entity ``g``
     lacks; the removal is checked first.
 
-    The result keeps ``g``'s orphan relation labels, shares its entity
+    A log that changes no triple returns ``g`` itself.  Otherwise the
+    result keeps ``g``'s orphan relation labels, shares its entity
     order and index and inherits its id arrays and, once ``g`` has counted
     it, its triangle state patched through the log
     (:meth:`KnowledgeGraph._spliced`), so only the log's triples are looked

@@ -646,7 +646,7 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
     for an empty graph, or for a NaN or infinite prize or edge cost.
 
     Every step runs on entity and triple ids; only the winning candidate
-    is mapped back, through ``from_triples``.  A tree's heap queues a node
+    is gathered from ``g``'s tables.  A tree's heap queues a node
     again only when its priority strictly improves (the entries skipped
     could never win), and scores are correctly rounded sums, so the
     result does not depend on the interpreter's hash seed.  A DEBUG line
@@ -672,7 +672,7 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
         # entity's list holds one entry per triple end), then the smallest id.
         best = min(range(tg.entity_count), key=lambda v: (-prize_of[v], -len(adjacency[v]), v))
         return ScoredSubgraph(
-            subgraph=KnowledgeGraph.from_triples((), extra_entities=(g.entity_order[best],)),
+            subgraph=_selected(g, (best,), ()),
             score=prize_of[best] + 0.0,  # a -0.0 prize scores 0.0
         )
 
@@ -704,10 +704,14 @@ def retrieve_subgraph_pcst(g: KnowledgeGraph, prizes: PrizeAssignment) -> Scored
     )
     assert best_result is not None
     (_, nodes, triples), score = best_result
-    sub = KnowledgeGraph.from_triples(
-        map(g.triples.__getitem__, triples), map(g.entity_order.__getitem__, nodes)
-    )
-    return ScoredSubgraph(subgraph=sub, score=score)
+    return ScoredSubgraph(subgraph=_selected(g, nodes, triples), score=score)
+
+
+def _selected(g: KnowledgeGraph, nodes, triples) -> KnowledgeGraph:
+    """``g``'s subgraph of these entity and triple ids (:meth:`KnowledgeGraph._induced`)."""
+    triple_mask, entity_mask = np.zeros(len(g.triples), bool), np.zeros(len(g.entities), bool)
+    triple_mask[list(triples)] = entity_mask[list(nodes)] = True
+    return g._induced(triple_mask, entity_mask)
 
 
 def retrieve(

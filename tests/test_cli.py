@@ -488,6 +488,13 @@ class TestMeasure:
         assert main(["measure", "--graph", path]) == 2
         assert main(["measure", "--graph", path, "--method", "ed"]) == 2
 
+    def test_a_block_graph_past_int64_keys_is_a_usage_error(self, tmp_path, capsys):
+        # |V| * |R| = 56001 * 56000 block nodes: sc2d's edge keys would pass int64.
+        path = tmp_path / "wide.tsv"
+        path.write_text("".join(f"e{i}\tr{i}\te{i + 1}\n" for i in range(56000)), encoding="utf-8")
+        assert main(["measure", "--graph", str(path), "--method", "ed", "--level", "0.0"]) == 2
+        assert capsys.readouterr().err == "error: 3136056000 nodes: edge keys would overflow int64\n"
+
 
 class TestSweep:
     def run_sweep(self, graph, queries, out_dir, extra=()):

@@ -20,6 +20,7 @@ from kgr.graph import (
     Triple,
     _clustering_cells,
     _keys,
+    _ranges,
     _triangle_state,
     graph_stats,
     relation_subgraph,
@@ -384,9 +385,20 @@ def test_clustering_of_self_loops_and_repeated_edges():
     assert dense_clustering(4, a, b).tolist() == [1.0, 1.0, 1.0, 0.0]
     assert dense_clustering(3, a[:5], b[:5]).tolist() == [0.0, 0.0, 0.0]
     # Edge keys are int64: a block graph too large for them is refused, not wrapped.
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="edge keys would overflow int64"):
         _triangle_state(3037000500, empty, empty)
     assert _triangle_state(3037000499, empty, empty).keys.tolist() == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 6)), max_size=12),
+)
+def test_ranges_concatenates_each_range(pairs):
+    starts = np.array([s for s, _ in pairs], dtype=np.intp)
+    lengths = np.array([n for _, n in pairs], dtype=np.intp)
+    expected = [v for s, n in pairs for v in range(s, s + n)]
+    assert _ranges(starts, lengths).tolist() == expected
 
 
 def dense_mean_relation_clustering(g: KnowledgeGraph) -> np.ndarray:

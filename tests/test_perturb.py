@@ -94,6 +94,19 @@ def test_level_zero_is_identity():
         assert result.edit_log == ()
 
 
+def test_an_edit_that_changes_no_triple_returns_the_parent():
+    g = fixture_graph()
+    for method in METHODS:
+        assert perturb(g, PerturbationSpec(method, 0.0, 9)).graph is g
+    present = sorted(g.triples[::3])
+    assert g._spliced(np.zeros(0, dtype=np.intp), present) is g
+    skipped = [EditRecord("relation_swap_skipped", t, t) for t in present]
+    assert replay_edit_log(g, skipped) is g
+    # Dropping a triple and adding it back is an edit: the child is new but equal.
+    child = g._spliced(np.array([0]), [g.triples[0]])
+    assert child is not g and child == g
+
+
 def test_a_no_op_perturbation_keeps_orphan_labels_and_reports_no_damage():
     # r2 labels one triple and "orphan" none.  A level-0 perturbation leaves
     # the graph as it was, so the relation-averaged vectors must not change.

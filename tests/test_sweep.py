@@ -6,6 +6,7 @@ import datetime as dt
 import json
 import random
 
+import numpy as np
 import pytest
 
 import kgr.sweep
@@ -13,11 +14,15 @@ from kgr.cli import main
 from kgr.graph import KnowledgeGraph
 from kgr.ingest import serialize
 from kgr.metrics import compare, fit_baseline_scorer
-from kgr.perturb import METHODS, REPLACE_LEAST_PLAUSIBLE, PerturbationSpec, perturb
+from kgr.perturb import METHODS, REPLACE_LEAST_PLAUSIBLE, REPLACE_MODES, PerturbationSpec, perturb
 from kgr.relevance import HashedBagEmbedder, assign_prizes, rank_graph_elements
 from kgr.retrieval import retrieve
 from kgr.sweep import retrieve_for_question, run_sweep
-from conftest import random_graph
+from conftest import fit_dict_scorer, orphan_labels, random_graph
+from test_metrics import reference_mean_relation_clustering, reference_mean_relation_degree
+from test_perturb import sequential_reference
+from test_relevance import reference_rank_graph_elements
+from test_retrieval import tuple_keyed_pcst
 
 QUERIES = [
     {"id": "q1", "question": "what links e0 and e3", "seeds": ["e0", "e3"]},
@@ -274,3 +279,79 @@ def test_unchanged_cells_reuse_one_compare_report(graph, monkeypatch):
         assert (cell["ats"], cell["sc2d"], cell["sd2"]) == (report.ats, report.sc2d, report.sd2)
         if damaged == g:
             assert (report.ats, report.sc2d, report.sd2) == (1.0, 1.0, 1.0)
+
+
+def string_reference_sweep(g, queries, methods, levels, num_seeds, root_seed, mode, settings):
+    """The sweep grid's records and curves from the string-level references
+    alone: each cell's damaged graph is its method applied one edit at a
+    time to a triple set, scored by a dict-keyed scorer and per-relation
+    loops, and retrieval ranks, prizes and retrieves on strings.  Nothing
+    is read from a graph's id arrays."""
+    seeds = [int(x) for x in np.random.SeedSequence(root_seed).generate_state(num_seeds, dtype=np.uint32)]
+    scorer = fit_dict_scorer(g)
+
+    def similarity(a, b):
+        d = float(np.linalg.norm(a - b))
+        return 1.0 - d / (d + 1.0)
+
+    def retrieved(graph, question):
+        nodes, edges = reference_rank_graph_elements(graph, question)
+        prizes = assign_prizes(nodes, edges, k=settings["k"], edge_cost=settings["edge_cost"])
+        if settings["variant"] == "subgraph":
+            return set(tuple_keyed_pcst(graph, prizes).subgraph.triples)
+        node = prizes.node_prize
+        gain = {t: node(t.subject) + node(t.object) + prizes.edge_prize(t) for t in graph.triples}
+        return set(sorted(graph.triples, key=lambda t: (-gain[t], t))[: prizes.k])
+
+    baseline = {q["id"]: retrieved(g, q["question"]) for q in queries}
+    header = {
+        "record_type": "header", "root_seed": root_seed, "cell_seeds": seeds, "methods": list(methods),
+        "levels": list(levels), "num_seeds": num_seeds, "query_count": len(queries),
+        "variant": settings["variant"], "prize_k": settings["k"], "edge_cost": settings["edge_cost"],
+    }
+    records, curves = [header], ["method,level,mean_ats,mean_sc2d,mean_sd2,mean_retrieval_overlap,seeds_used"]
+    keys = ("ats", "sc2d", "sd2", "retrieval_overlap")
+    for method in methods:
+        for level in levels:
+            cells = []
+            for seed in sorted(seeds):
+                triples, _ = sequential_reference(g, method, level, seed, mode)
+                damaged = KnowledgeGraph.from_triples(
+                    triples, extra_entities=g.entities, extra_relations=orphan_labels(g)
+                )
+                total = 0.0
+                for t in damaged.triples:  # added left to right
+                    total += scorer.score(*t)
+                per_query = []
+                for q in queries:
+                    a, b = baseline[q["id"]], retrieved(damaged, q["question"])
+                    per_query.append({"id": q["id"], "overlap": len(a & b) / len(a | b) if a | b else 1.0})
+                cells.append({
+                    "method": method, "level": level, "seed": seed,
+                    "ats": total / len(damaged.triples) if damaged.triples else 0.0,
+                    "sc2d": similarity(
+                        reference_mean_relation_clustering(g), reference_mean_relation_clustering(damaged)
+                    ),
+                    "sd2": similarity(reference_mean_relation_degree(g), reference_mean_relation_degree(damaged)),
+                    "retrieval_overlap": sum(p["overlap"] for p in per_query) / len(per_query),
+                    "per_query": per_query,
+                })
+            means = [sum(c[key] for c in cells) / len(cells) for key in keys]
+            curves.append(",".join([method, repr(level), *map(repr, means), str(len(cells))]))
+            records.extend(cells)
+    return records, curves
+
+
+@pytest.mark.parametrize("variant", ["subgraph", "triplets"])
+@pytest.mark.parametrize("mode", REPLACE_MODES)
+def test_the_sweep_matches_its_string_level_reference(graph, variant, mode):
+    # An orphan label counts in the relation-averaged vectors.
+    g = KnowledgeGraph.from_triples(graph.triples, extra_entities=graph.entities, extra_relations=["orphan"])
+    assert len(g.entities) == 14
+    settings = {"variant": variant, "k": 8, "edge_cost": 0.5}
+    grid_args = dict(methods=list(METHODS), levels=[0.0, 0.1, 1.0], num_seeds=2, root_seed=9)
+    records, curves, meta = run_sweep(g, QUERIES, **grid_args, replace_mode=mode, settings=settings)
+    assert meta["failed_cells"] == 0
+    expected_records, expected_curves = string_reference_sweep(g, QUERIES, **grid_args, mode=mode, settings=settings)
+    assert records == expected_records
+    assert curves == expected_curves

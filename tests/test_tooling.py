@@ -82,7 +82,8 @@ def count_from_triples(monkeypatch) -> list:
 def test_perturb_builds_its_graph_through_from_triples_once(monkeypatch):
     # Traced damage runs see the graph layer only through from_triples,
     # wrapped on the class as the tracer does it; a perturbed graph built
-    # any other way leaves that heavy layer without spans.
+    # any other way leaves that heavy layer without spans.  An edit-free
+    # perturbation builds nothing: it returns the graph itself.
     g = KnowledgeGraph.from_triples(
         [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r1", "d"), ("a", "r2", "d")]
     )
@@ -90,8 +91,39 @@ def test_perturb_builds_its_graph_through_from_triples_once(monkeypatch):
     for method in kgr.METHODS:
         for level in (0.0, 0.5, 1.0):
             builds.clear()
-            kgr.perturb(g, kgr.PerturbationSpec(method, level, 7))
-            assert builds == [KnowledgeGraph], (method, level)
+            pg = kgr.perturb(g, kgr.PerturbationSpec(method, level, 7))
+            if level:
+                assert builds == [KnowledgeGraph], (method, level)
+            else:
+                assert builds == [] and pg.graph is g, method
+
+
+def test_extracted_graphs_build_through_from_triples_once(monkeypatch):
+    # Traced qa sees K-hop balls and pruned graphs in the graph layer only
+    # through this call.
+    g = KnowledgeGraph.from_triples([("a", "r1", "b"), ("b", "r2", "c"), ("c", "r3", "d")])
+    builds = count_from_triples(monkeypatch)
+    kgr.khop_subgraph(g, ["a"], 1)
+    assert builds == [KnowledgeGraph]
+    builds.clear()
+    kgr.ppr.prune_by_ppr(g, {**dict.fromkeys("abc", 1.0), "d": 0.0})
+    assert builds == [KnowledgeGraph]
+
+
+def test_a_level_zero_sweep_cell_builds_no_graph(monkeypatch):
+    # Every level-0 cell gets the original graph back from perturb, and the
+    # triplets variant builds no subgraph, so the grid builds nothing.
+    g = KnowledgeGraph.from_triples(
+        [("a", "r1", "b"), ("b", "r2", "c"), ("c", "r1", "d"), ("a", "r2", "d")]
+    )
+    builds = count_from_triples(monkeypatch)
+    records, _, meta = kgr.sweep.run_sweep(
+        g, [{"id": "q", "question": "a and d"}], methods=kgr.METHODS, levels=[0.0],
+        num_seeds=2, root_seed=1, replace_mode="least_plausible", settings={"variant": "triplets"},
+    )
+    assert builds == []
+    assert meta["reused_cells"] == meta["cells"] == 8
+    assert all(r["retrieval_overlap"] == 1.0 for r in records[1:])
 
 
 def test_perturb_carries_the_parents_index_family():
@@ -114,10 +146,14 @@ def test_perturb_carries_the_parents_index_family():
 
 
 def test_extracted_graphs_carry_their_index_family():
-    # K-hop balls and pruned graphs are gathered from their parent's
-    # tables, so they are handed them when built.
+    # K-hop balls, pruned graphs and PCST answers are gathered from their
+    # parent's tables, so they are handed them when built.
     g = KnowledgeGraph.from_triples([("a", "r1", "b"), ("b", "r2", "c"), ("c", "r3", "d")])
-    children = [kgr.khop_subgraph(g, ["a"], 1), kgr.ppr.prune_by_ppr(g, dict.fromkeys("abcd", 1.0))]
+    pcst = kgr.retrieve_subgraph_pcst(g, kgr.PrizeAssignment({"a": 2.0, "c": 2.0}, {}, edge_cost=0.5))
+    assert pcst.subgraph.triples == g.triples[:2]
+    children = [
+        kgr.khop_subgraph(g, ["a"], 1), kgr.ppr.prune_by_ppr(g, dict.fromkeys("abcd", 1.0)), pcst.subgraph,
+    ]
     for child in children:
         assert {"entity_order", "endpoint_ids", "relation_ids", "relation_order"} <= vars(child).keys()
 
